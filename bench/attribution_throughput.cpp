@@ -2,20 +2,21 @@
 // stage at study scale (§II-B3), tracked from PR 1 onward.
 //
 // Three axes, benchmarked independently and combined:
-//   - per-query cost: naive capture scan (O(packets)) vs CaptureIndex
-//     (O(log packets)), per-run frame/domain memos, and the compiled
-//     AttributionProgram (trie probes instead of per-prefix string scans);
+//   - per-query cost: the seed attributor (reference::SeedAttributor in
+//     SeedMode::Seed: a full capture scan per flow, no memos, string-prefix
+//     matchers) vs core::TrafficAttributor (CaptureIndex, cross-run frame
+//     cache, domain memo, compiled AttributionProgram);
 //   - fold cost: row-at-a-time StudyAggregator::addApp vs the columnar
 //     FlowColumns batch fold;
 //   - parallelism: 1 worker vs one per hardware thread.
 //
 // The headline comparison runs a 200-app synthetic study end to end
-// (attribute + study fold) the way the seed did — naive volume scans, no
-// memos, no interning, no compiled program, row fold, serialized — and the
-// way the pipeline does now (compiled + columnar + parallel), prints the
-// speedup, and writes BENCH_attribution.json so the perf trajectory is
-// machine-readable (scripts/check_bench_floor.py gates on it). The
-// google-benchmark microbenchmarks after it isolate each axis.
+// (attribute + study fold) the way the seed did — the frozen seed
+// attributor, row fold, serialized — and the way the pipeline does now
+// (TrafficAttributor + columnar fold + parallel), prints the speedup, and
+// writes BENCH_attribution.json so the perf trajectory is machine-readable
+// (scripts/check_bench_floor.py gates on it). The google-benchmark
+// microbenchmarks after it isolate each axis.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -39,6 +40,7 @@
 #include "orch/emulator.hpp"
 #include "radar/ant.hpp"
 #include "radar/corpus.hpp"
+#include "reference/seed_attributor.hpp"
 #include "store/generator.hpp"
 #include "util/strings.hpp"
 #include "vtsim/categorizer.hpp"
@@ -73,9 +75,13 @@ struct StudyWorld {
     }
   }
 
-  [[nodiscard]] core::TrafficAttributor attributor(
-      core::AttributorConfig config = {}) const {
-    return {corpus, *categorizer, config};
+  [[nodiscard]] core::TrafficAttributor attributor() const {
+    return {corpus, *categorizer};
+  }
+
+  /// The seed's attributor, faithfully: the frozen pre-acceleration code.
+  [[nodiscard]] reference::SeedAttributor seedAttributor() const {
+    return {corpus, *categorizer, reference::SeedMode::Seed};
   }
 
   const radar::LibraryCorpus corpus = radar::LibraryCorpus::builtin();
@@ -89,23 +95,10 @@ const StudyWorld& world() {
   return kWorld;
 }
 
-/// The seed's attributor, faithfully: every optimization this repo has
-/// grown since — capture index, frame/domain memos, symbol interning, the
-/// compiled program, columnar folds — switched off.
-core::AttributorConfig seedConfig() {
-  core::AttributorConfig config;
-  config.useCaptureIndex = false;
-  config.memoizeFrames = false;
-  config.internSymbols = false;
-  config.compileProgram = false;
-  config.columnarFold = false;
-  return config;
-}
-
 /// Attribute every run of the study with `threads` workers; returns the
 /// total flow count (and keeps the optimizer honest).
-std::size_t attributeStudy(const core::TrafficAttributor& attributor,
-                           std::size_t threads) {
+template <typename Attributor>
+std::size_t attributeStudy(const Attributor& attributor, std::size_t threads) {
   std::atomic<std::size_t> nextRun{0};
   std::atomic<std::size_t> flowCount{0};
   const auto worker = [&] {
@@ -128,7 +121,8 @@ std::size_t attributeStudy(const core::TrafficAttributor& attributor,
 
 /// Attribute and row-fold the whole study serially (the seed's end-to-end
 /// shape: one worker, FlowRecord rows through StudyAggregator::addApp).
-std::size_t attributeAndFoldRows(const core::TrafficAttributor& attributor,
+template <typename Attributor>
+std::size_t attributeAndFoldRows(const Attributor& attributor,
                                  core::StudyAggregator& study) {
   std::size_t flowCount = 0;
   for (const auto& run : world().runs) {
@@ -184,7 +178,7 @@ void runHeadlineComparison() {
   std::size_t packets = 0;
   for (const auto& run : world().runs) packets += run.capture.size();
 
-  const auto naive = world().attributor(seedConfig());
+  const auto naive = world().seedAttributor();
   const auto optimized = world().attributor();
 
   // Attribution-only axes (the PR-1 comparison, kept for trajectory).
@@ -342,7 +336,7 @@ void BM_CaptureIndex_Build(benchmark::State& state) {
 BENCHMARK(BM_CaptureIndex_Build);
 
 void BM_AttributeApp_Seed(benchmark::State& state) {
-  const auto attributor = world().attributor(seedConfig());
+  const auto attributor = world().seedAttributor();
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(

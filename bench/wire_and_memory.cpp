@@ -33,6 +33,7 @@
 #include "core/report.hpp"
 #include "orch/emulator.hpp"
 #include "radar/corpus.hpp"
+#include "reference/seed_attributor.hpp"
 #include "store/generator.hpp"
 #include "util/rng.hpp"
 #include "vtsim/categorizer.hpp"
@@ -275,14 +276,13 @@ std::size_t symbolRecordAndFold(
 }
 
 /// End-to-end context numbers: attribute + record + fold, the way the seed
-/// ran (interning off, per-call string work) vs the way the pipeline runs
-/// now. Dominated on both sides by attribution proper, so the ratio is
-/// structurally smaller than the record-stage headline.
+/// ran (interning off, per-call string work: reference::SeedAttributor in
+/// SeedMode::NoInterning) vs the way the pipeline runs now. Dominated on
+/// both sides by attribution proper, so the ratio is structurally smaller
+/// than the record-stage headline.
 std::size_t legacyEndToEnd(const StudyWorld& world) {
-  core::AttributorConfig config;
-  config.internSymbols = false;
-  const core::TrafficAttributor attributor(world.corpus, *world.categorizer,
-                                           config);
+  const reference::SeedAttributor attributor(
+      world.corpus, *world.categorizer, reference::SeedMode::NoInterning);
   std::vector<std::vector<core::FlowRecord>> flowsPerRun;
   flowsPerRun.reserve(world.runs.size());
   for (const auto& run : world.runs) flowsPerRun.push_back(attributor.attribute(run));

@@ -5,8 +5,9 @@
 // Listing-2-style category votes.
 //
 // Usage: attribute_single_app [appIndex] [seed]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <string_view>
 
 #include "core/attribution.hpp"
 #include "orch/emulator.hpp"
@@ -17,9 +18,33 @@
 
 using namespace libspector;
 
+namespace {
+
+constexpr std::size_t kMaxAppIndex = 99'999;
+
+constexpr const char* kUsage =
+    "usage: attribute_single_app [appIndex] [seed]\n"
+    "  appIndex  0..99999 (default 7)\n"
+    "  seed      store seed, any unsigned 64-bit value (default 20200629)\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const std::size_t appIndex = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 7;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 20200629;
+  if (argc > 1 && (std::string_view(argv[1]) == "--help" ||
+                   std::string_view(argv[1]) == "-h")) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
+  const auto index =
+      argc > 1 ? util::parseCount(argv[1], 0, kMaxAppIndex) : std::size_t{7};
+  const auto seedArg = argc > 2 ? util::parseCount(argv[2], 0, SIZE_MAX)
+                                : std::size_t{20200629};
+  if (argc > 3 || !index || !seedArg) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  const std::size_t appIndex = *index;
+  const std::uint64_t seed = *seedArg;
 
   store::StoreConfig storeConfig;
   storeConfig.appCount = appIndex + 1;

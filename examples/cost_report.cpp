@@ -4,17 +4,39 @@
 //
 // Usage: cost_report [adMBPerRun] [usdPerGB]
 #include <cstdio>
-#include <cstdlib>
 
 #include <initializer_list>
+#include <string_view>
 
 #include "core/cost.hpp"
+#include "util/strings.hpp"
 
 using namespace libspector;
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: cost_report [adMBPerRun] [usdPerGB]\n"
+    "  adMBPerRun  0..1000000 (default 15.58)\n"
+    "  usdPerGB    0..1000000 (default 10)\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const double adMb = argc > 1 ? std::strtod(argv[1], nullptr) : 15.58;
-  const double usdPerGb = argc > 2 ? std::strtod(argv[2], nullptr) : 10.0;
+  if (argc > 1 && (std::string_view(argv[1]) == "--help" ||
+                   std::string_view(argv[1]) == "-h")) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
+  const auto adMbArg = argc > 1 ? util::parseReal(argv[1], 0.0, 1e6) : 15.58;
+  const auto usdPerGbArg =
+      argc > 2 ? util::parseReal(argv[2], 0.0, 1e6) : 10.0;
+  if (argc > 3 || !adMbArg || !usdPerGbArg) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  const double adMb = *adMbArg;
+  const double usdPerGb = *usdPerGbArg;
   const double bytesPerRun = adMb * 1024 * 1024;
 
   std::printf("Advertisement traffic: %.2f MB per 8-minute session\n", adMb);

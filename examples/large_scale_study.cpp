@@ -7,7 +7,7 @@
 //   large_scale_study 25000 0 1.0          # full population, full-size dex
 //   large_scale_study 2500 0 0.15 out/     # also export figure CSVs
 #include <cstdio>
-#include <cstdlib>
+#include <string_view>
 
 #include "core/analysis.hpp"
 #include "core/cost.hpp"
@@ -19,11 +19,39 @@
 
 using namespace libspector;
 
+namespace {
+
+constexpr std::size_t kMaxApps = 100'000;
+constexpr std::size_t kMaxWorkers = 256;
+
+constexpr const char* kUsage =
+    "usage: large_scale_study [apps] [workers] [methodScale] [csvDir]\n"
+    "  apps         1..100000 (default 2500)\n"
+    "  workers      0..256, 0 = one per hardware thread (default 0)\n"
+    "  methodScale  0.001..4 (default 0.15)\n"
+    "  csvDir       also export the figure CSVs there\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
+  if (argc > 1 && (std::string_view(argv[1]) == "--help" ||
+                   std::string_view(argv[1]) == "-h")) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
   store::StoreConfig storeConfig;
-  storeConfig.appCount = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 2500;
-  const std::size_t workers = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 0;
-  if (argc > 3) storeConfig.methodScale = std::strtod(argv[3], nullptr);
+  const auto apps =
+      argc > 1 ? util::parseCount(argv[1], 1, kMaxApps) : std::size_t{2500};
+  const auto workers =
+      argc > 2 ? util::parseCount(argv[2], 0, kMaxWorkers) : std::size_t{0};
+  const auto methodScale = argc > 3 ? util::parseReal(argv[3], 0.001, 4.0)
+                                    : storeConfig.methodScale;
+  if (argc > 5 || !apps || !workers || !methodScale) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  storeConfig.appCount = *apps;
+  storeConfig.methodScale = *methodScale;
   const char* csvDir = argc > 4 ? argv[4] : nullptr;
 
   util::setLogLevel(util::LogLevel::Info);
@@ -39,7 +67,7 @@ int main(int argc, char** argv) {
   // runStudy attributes on the worker fleet and folds results in dispatch
   // order, so the numbers below are byte-identical at any worker count.
   orch::DispatcherConfig dispatcherConfig;
-  dispatcherConfig.workers = workers;
+  dispatcherConfig.workers = *workers;
   const orch::StudyOutput output = orch::runStudy(generator, dispatcherConfig);
   const core::StudyAggregator& study = output.study;
 

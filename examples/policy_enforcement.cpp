@@ -7,8 +7,8 @@
 //
 // Usage: policy_enforcement [apps]
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <string_view>
 
 #include "core/attribution.hpp"
 #include "core/cost.hpp"
@@ -84,11 +84,28 @@ Measurement measure(const store::AppStoreGenerator& generator,
   return out;
 }
 
+constexpr std::size_t kMaxApps = 100'000;
+
+constexpr const char* kUsage =
+    "usage: policy_enforcement [apps]\n"
+    "  apps  1..100000 (default 120)\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 1 && (std::string_view(argv[1]) == "--help" ||
+                   std::string_view(argv[1]) == "-h")) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
+  const auto apps =
+      argc > 1 ? util::parseCount(argv[1], 1, kMaxApps) : std::size_t{120};
+  if (argc > 2 || !apps) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
   store::StoreConfig storeConfig;
-  storeConfig.appCount = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 120;
+  storeConfig.appCount = *apps;
   const store::AppStoreGenerator generator(storeConfig);
 
   const radar::LibraryCorpus corpus = radar::LibraryCorpus::builtin();

@@ -8,12 +8,11 @@
 //
 // Usage: quickstart [appCount] [workers]
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
+#include <string_view>
 
 #include "core/analysis.hpp"
 #include "core/attribution.hpp"
-#include "orch/collector.hpp"
 #include "orch/dispatcher.hpp"
 #include "radar/corpus.hpp"
 #include "store/generator.hpp"
@@ -22,10 +21,34 @@
 
 using namespace libspector;
 
+namespace {
+
+constexpr std::size_t kMaxApps = 100'000;
+constexpr std::size_t kMaxWorkers = 256;
+
+constexpr const char* kUsage =
+    "usage: quickstart [appCount] [workers]\n"
+    "  appCount  1..100000 (default 300)\n"
+    "  workers   0..256, 0 = one per hardware thread (default 0)\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
+  if (argc > 1 && (std::string_view(argv[1]) == "--help" ||
+                   std::string_view(argv[1]) == "-h")) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
+  const auto apps =
+      argc > 1 ? util::parseCount(argv[1], 1, kMaxApps) : std::size_t{300};
+  const auto workers =
+      argc > 2 ? util::parseCount(argv[2], 0, kMaxWorkers) : std::size_t{0};
+  if (argc > 3 || !apps || !workers) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
   store::StoreConfig storeConfig;
-  storeConfig.appCount = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 300;
-  const std::size_t workers = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 0;
+  storeConfig.appCount = *apps;
 
   std::printf("Generating store world (%zu apps)...\n", storeConfig.appCount);
   store::AppStoreGenerator generator(storeConfig);
@@ -41,10 +64,9 @@ int main(int argc, char** argv) {
   std::mutex analysisMutex;
 
   // Dispatch.
-  orch::CollectionServer collector;
   orch::DispatcherConfig dispatcherConfig;
-  dispatcherConfig.workers = workers;
-  orch::Dispatcher dispatcher(generator.farm(), &collector, dispatcherConfig);
+  dispatcherConfig.workers = *workers;
+  orch::Dispatcher dispatcher(generator.farm(), nullptr, dispatcherConfig);
 
   std::size_t next = 0;
   dispatcher.run(

@@ -15,12 +15,14 @@
 //
 //   spectorctl policy --apps N [--seed S] --block PREFIX [--block ...]
 //       Enforcement dry-run: measure with the given library blacklist.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,7 +31,6 @@
 #include "core/export.hpp"
 #include "hook/xposed.hpp"
 #include "monkey/monkey.hpp"
-#include "orch/collector.hpp"
 #include "orch/database.hpp"
 #include "orch/dispatcher.hpp"
 #include "policy/module.hpp"
@@ -49,12 +50,29 @@ struct Args {
   std::vector<std::string> blockPrefixes;
 };
 
+constexpr std::size_t kMaxApps = 100'000;
+constexpr std::size_t kMaxWorkers = 256;
+
+constexpr const char* kUsage =
+    "usage: spectorctl <run|analyze|inspect|policy> [options]\n"
+    "  run     --apps N [--seed S] [--workers W] --out DIR\n"
+    "  analyze --in DIR [--csv DIR] [--report FILE]\n"
+    "  inspect --in DIR --sha PREFIX\n"
+    "  policy  --apps N [--seed S] --block PREFIX [--block ...]\n"
+    "  N in 1..100000, W in 0..256 (0 = one per hardware thread)\n";
+
+/// A malformed command line: main prints it with the usage and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 Args parseArgs(int argc, char** argv) {
   Args args;
   if (argc > 1) args.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
+  for (int i = 2; i < argc; i += 2) {
     const std::string key = argv[i];
-    if (!key.starts_with("--")) continue;
+    if (!key.starts_with("--")) throw UsageError("unexpected argument " + key);
+    if (i + 1 == argc) throw UsageError(key + ": missing value");
     if (key == "--block") {
       args.blockPrefixes.emplace_back(argv[i + 1]);
     } else {
@@ -64,9 +82,13 @@ Args parseArgs(int argc, char** argv) {
   return args;
 }
 
-std::size_t optSize(const Args& args, const std::string& key, std::size_t fallback) {
+std::size_t optSize(const Args& args, const std::string& key,
+                    std::size_t fallback, std::size_t min, std::size_t max) {
   const auto it = args.options.find(key);
-  return it == args.options.end() ? fallback : std::strtoul(it->second.c_str(), nullptr, 10);
+  if (it == args.options.end()) return fallback;
+  if (const auto value = util::parseCount(it->second, min, max)) return *value;
+  throw UsageError("--" + key + " " + it->second + ": expected an integer in " +
+                   std::to_string(min) + ".." + std::to_string(max));
 }
 
 std::string optStr(const Args& args, const std::string& key, std::string fallback = {}) {
@@ -99,15 +121,14 @@ int cmdRun(const Args& args) {
     return 2;
   }
   store::StoreConfig config;
-  config.appCount = optSize(args, "apps", 200);
-  config.seed = optSize(args, "seed", 20200629);
+  config.appCount = optSize(args, "apps", 200, 1, kMaxApps);
+  config.seed = optSize(args, "seed", 20200629, 0, SIZE_MAX);
   const store::AppStoreGenerator generator(config);
 
   orch::ResultDatabase db;
-  orch::CollectionServer collector;
   orch::DispatcherConfig dispatcherConfig;
-  dispatcherConfig.workers = optSize(args, "workers", 0);
-  orch::Dispatcher dispatcher(generator.farm(), &collector, dispatcherConfig);
+  dispatcherConfig.workers = optSize(args, "workers", 0, 0, kMaxWorkers);
+  orch::Dispatcher dispatcher(generator.farm(), nullptr, dispatcherConfig);
   std::size_t next = 0;
   dispatcher.run(
       [&]() -> std::optional<orch::Dispatcher::Job> {
@@ -238,8 +259,8 @@ int cmdPolicy(const Args& args) {
     return 2;
   }
   store::StoreConfig config;
-  config.appCount = optSize(args, "apps", 100);
-  config.seed = optSize(args, "seed", 20200629);
+  config.appCount = optSize(args, "apps", 100, 1, kMaxApps);
+  config.seed = optSize(args, "seed", 20200629, 0, SIZE_MAX);
   const store::AppStoreGenerator generator(config);
 
   policy::PolicyEngine engine;
@@ -276,16 +297,23 @@ int cmdPolicy(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parseArgs(argc, argv);
-  if (args.command == "run") return cmdRun(args);
-  if (args.command == "analyze") return cmdAnalyze(args);
-  if (args.command == "inspect") return cmdInspect(args);
-  if (args.command == "policy") return cmdPolicy(args);
-  std::fprintf(stderr,
-               "usage: spectorctl <run|analyze|inspect|policy> [options]\n"
-               "  run     --apps N [--seed S] [--workers W] --out DIR\n"
-               "  analyze --in DIR [--csv DIR] [--report FILE]\n"
-               "  inspect --in DIR --sha PREFIX\n"
-               "  policy  --apps N [--seed S] --block PREFIX [--block ...]\n");
+  if (argc > 1 && (std::strcmp(argv[1], "--help") == 0 ||
+                   std::strcmp(argv[1], "-h") == 0)) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
+  Args args;
+  try {
+    args = parseArgs(argc, argv);
+    if (args.command == "run") return cmdRun(args);
+    if (args.command == "analyze") return cmdAnalyze(args);
+    if (args.command == "inspect") return cmdInspect(args);
+    if (args.command == "policy") return cmdPolicy(args);
+  } catch (const UsageError& error) {
+    std::fprintf(stderr, "spectorctl: %s\n", error.what());
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  std::fputs(kUsage, stderr);
   return args.command.empty() ? 2 : 1;
 }

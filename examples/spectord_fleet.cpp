@@ -14,10 +14,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -30,16 +30,42 @@
 #include "spectord/daemon.hpp"
 #include "store/generator.hpp"
 #include "store/prefetch.hpp"
+#include "util/strings.hpp"
 #include "vtsim/categorizer.hpp"
 
 using namespace libspector;
 
+namespace {
+
+constexpr std::size_t kMaxApps = 100'000;
+constexpr std::size_t kMaxWorkers = 256;
+
+constexpr const char* kUsage =
+    "usage: spectord_fleet [apps] [workers]\n"
+    "  apps     1..100000 (default 12)\n"
+    "  workers  1..256 (default 3)\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
+  if (argc > 1 && (std::string_view(argv[1]) == "--help" ||
+                   std::string_view(argv[1]) == "-h")) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
+  const auto apps =
+      argc > 1 ? util::parseCount(argv[1], 1, kMaxApps) : std::size_t{12};
+  const auto workers =
+      argc > 2 ? util::parseCount(argv[2], 1, kMaxWorkers) : std::size_t{3};
+  if (argc > 3 || !apps || !workers) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
   orch::StudyConfig config;
-  config.store.appCount = argc > 1 ? std::atoi(argv[1]) : 12;
+  config.store.appCount = *apps;
   config.store.seed = 7;
   config.store.methodScale = 0.05;
-  config.dispatcher.workers = argc > 2 ? std::atoi(argv[2]) : 3;
+  config.dispatcher.workers = *workers;
   config.dispatcher.emulator.monkey.events = 100;
   config.dispatcher.emulator.monkey.throttleMs = 50;
 

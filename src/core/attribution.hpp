@@ -163,30 +163,6 @@ struct AttributorConfig {
   /// How far before the report timestamp the connection's handshake packets
   /// may lie (the post-hook fires after establishment).
   util::SimTimeMs connectSlackMs = 2000;
-  /// Build a net::CaptureIndex once per run and answer every stream-volume
-  /// query from it (O(log P)) instead of scanning the whole capture per
-  /// flow (O(P)). Off reproduces the naive scan bit-for-bit; it exists for
-  /// the equivalence tests and the attribution_throughput bench.
-  bool useCaptureIndex = true;
-  /// Memoize signature parsing, the built-in-frame filter, and the derived
-  /// origin-library fields across the frames of a run (stack traces repeat
-  /// the same frames heavily). Purely an allocation/CPU saver; results are
-  /// identical either way.
-  bool memoizeFrames = true;
-  /// Share the per-frame derivation cache *across runs*, keyed by interned
-  /// signature id (a shared_mutex-guarded map of immutable entries). The
-  /// same SDK stacks recur in every app of a study, so the cross-run cache
-  /// makes signature parsing and corpus prediction a once-per-study cost.
-  /// Off falls back to the per-call memo above. Results are identical
-  /// either way (the byte-identity tests pin this); flows reference the
-  /// attributor's symbol pool in both modes.
-  bool internSymbols = true;
-  /// Compile the builtin filter, AnT/common lists and corpus elections into
-  /// one AttributionProgram at construction, so every per-frame question is
-  /// a single component-trie walk (array probes over interned component
-  /// ids) instead of four independent string-prefix walks. Off falls back
-  /// to the reference matchers; results are identical either way.
-  bool compileProgram = true;
   /// Produce FlowColumns batches and fold them through the columnar
   /// StudyAggregator entry points (dense id-indexed accumulators). Off
   /// keeps the row-at-a-time FlowRecord fold as the bit-identical
@@ -201,6 +177,13 @@ struct AttributorConfig {
   bool elideTrampolines = true;
 };
 
+/// Attributes runs through one path: stream volumes from a per-run
+/// net::CaptureIndex (O(log P) per flow), frame facts from a cross-run
+/// cache keyed by interned signature id (signature parsing and corpus
+/// prediction are a once-per-study cost), domains through a per-run memo,
+/// and every matcher question through one compiled AttributionProgram.
+/// The pre-acceleration seed code it grew out of is kept, frozen, as
+/// reference::SeedAttributor under tests/reference/.
 class TrafficAttributor {
  public:
   TrafficAttributor(const radar::LibraryCorpus& corpus,
@@ -237,8 +220,8 @@ class TrafficAttributor {
     util::Symbol originLibrary;
     util::Symbol twoLevelLibrary;
     util::Symbol libraryCategory;
-    /// The interned raw signature (internSymbols path only), so an origin
-    /// frame is interned once, not re-interned per field it feeds.
+    /// The interned raw signature, so an origin frame is interned once,
+    /// not re-interned per field it feeds.
     util::Symbol signature;
     bool ant = false;
     bool common = false;
@@ -250,14 +233,13 @@ class TrafficAttributor {
   };
 
   [[nodiscard]] FrameInfo computeFrameInfo(std::string_view signature) const;
-  /// Cross-run cache lookup (config_.internSymbols path).
+  /// Cross-run cache lookup.
   [[nodiscard]] const FrameInfo& sharedFrameInfo(util::Symbol signature) const;
 
-  const radar::LibraryCorpus& corpus_;
   vtsim::DomainCategorizer& domains_;
   AttributorConfig config_;
-  /// Compiled once at construction (config_.compileProgram); immutable and
-  /// shared lock-free by all worker threads. Null when disabled.
+  /// Compiled once at construction; immutable and shared lock-free by all
+  /// worker threads.
   std::unique_ptr<const AttributionProgram> program_;
   /// Owns every Symbol handed out in FlowRecords. Behind a unique_ptr so
   /// the attributor stays movable and flow symbols survive the move.

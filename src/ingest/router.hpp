@@ -1,9 +1,9 @@
 // Sharded streaming ingest router (the scale path the ROADMAP's
 // "heavy traffic from millions of users" goal demands).
 //
-// The legacy orch::CollectionServer funnels every emulator worker through
-// one mutex-guarded map and silently absorbs whatever UDP did to the
-// datagrams in flight. ShardedIngest replaces that hot path:
+// The collection server of the paper's Fig. 1. A single mutex-guarded map
+// would funnel every emulator worker through one lock and silently absorb
+// whatever UDP did to the datagrams in flight. ShardedIngest instead:
 //
 //  - every datagram carries the core::ReportFrame framing (worker id,
 //    per-run sequence number, crc32), so loss, duplication, reordering and

@@ -1,10 +1,10 @@
 // The datagram ingestion boundary.
 //
-// Everything that can receive a supervisor report datagram — the legacy
-// orch::CollectionServer, the sharded ingest router, fault-injection
-// wrappers — implements this one-method interface, so emulators and
-// dispatchers are wired against the boundary rather than a concrete
-// collector.
+// Everything that can receive a supervisor report datagram — the sharded
+// ingest router, the spectord ingest client, fault-injection wrappers —
+// implements this one-method interface, so emulators and dispatchers are
+// wired against the boundary rather than a concrete collector. Callers
+// that never read reports back pass a null sink.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace libspector::util {
@@ -75,6 +76,27 @@ std::string prefixLevels(std::string_view package, int n) {
 
 bool contains(std::string_view s, std::string_view needle) {
   return s.find(needle) != std::string_view::npos;
+}
+
+std::optional<std::size_t> parseCount(std::string_view text, std::size_t min,
+                                      std::size_t max) noexcept {
+  // from_chars takes no sign for an unsigned type and reports overflow.
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  if (value < min || value > max) return std::nullopt;
+  return value;
+}
+
+std::optional<double> parseReal(std::string_view text, double min,
+                                double max) noexcept {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  if (!(value >= min && value <= max)) return std::nullopt;
+  return value;
 }
 
 std::string humanBytes(double bytes) {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,6 +41,19 @@ namespace libspector::util {
 
 /// True if `s` contains `needle` as a substring.
 [[nodiscard]] bool contains(std::string_view s, std::string_view needle);
+
+/// Strict count parse for command-line values: ASCII digits only (no sign,
+/// no whitespace, no trailing characters) whose value lies in [min, max].
+/// std::nullopt for anything else, including values that overflow.
+[[nodiscard]] std::optional<std::size_t> parseCount(std::string_view text,
+                                                    std::size_t min,
+                                                    std::size_t max) noexcept;
+
+/// Strict decimal parse for command-line values: the whole of `text` must
+/// be one std::from_chars number (optional leading '-', no whitespace, no
+/// trailing characters) lying in [min, max]; NaN never qualifies.
+[[nodiscard]] std::optional<double> parseReal(std::string_view text,
+                                              double min, double max) noexcept;
 
 /// Human-readable byte count ("1.59 GB", "452 MB", "713 B").
 [[nodiscard]] std::string humanBytes(double bytes);

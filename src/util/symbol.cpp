@@ -130,9 +130,11 @@ Symbol SymbolPool::intern(std::string_view text) {
   Symbol::Entry* entry = &chunk[id & (kChunkSize - 1)];
   entry->text.assign(text);
   entry->id = static_cast<std::uint32_t>(id);
+  // Publish the id range before the slot: a lock-free reader that finds
+  // this entry through probe() must also be able to at() it.
+  s.count.store(id + 1, std::memory_order_release);
   State::insert(*t, hash, entry);
   s.textBytes.fetch_add(text.size(), std::memory_order_relaxed);
-  s.count.store(id + 1, std::memory_order_release);
   // Keep the load factor under ~3/4 so probes stay short.
   if ((id + 1) * 4 >= (t->mask + 1) * 3) s.growLocked(id + 1);
   return Symbol(entry);

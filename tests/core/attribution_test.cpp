@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/seed_attributor.hpp"
+#include "rt/framework.hpp"
+
 namespace libspector::core {
 namespace {
 
@@ -338,9 +341,9 @@ TEST_F(AttributorTest, OutOfOrderHttpExchangesPickChronologicalHost) {
 }
 
 TEST_F(AttributorTest, IndexedAndNaivePathsAgreeExactly) {
-  // The capture index and the frame memos are pure accelerations: flows
-  // must match the naive configuration field for field, including on
-  // port-reuse windows.
+  // The capture index, the frame caches and the compiled program are pure
+  // accelerations: flows must match the frozen seed attributor field for
+  // field, including on port-reuse windows.
   auto run = baseRun();
   addFlow(run, 47000, "ads5.y.com", net::Ipv4Addr(198, 18, 0, 13), 1000, 500,
           7000, kAdStack);
@@ -351,10 +354,8 @@ TEST_F(AttributorTest, IndexedAndNaivePathsAgreeExactly) {
           {"java.net.Socket.connect", "Lcom/myapp/net/Api;->fetch()V",
            "Lcom/myapp/ui/Main;->onClick(Landroid/view/View;)V"});
 
-  AttributorConfig naiveConfig;
-  naiveConfig.useCaptureIndex = false;
-  naiveConfig.memoizeFrames = false;
-  const TrafficAttributor naive(corpus_, categorizer_, naiveConfig);
+  const reference::SeedAttributor naive(corpus_, categorizer_,
+                                        reference::SeedMode::Seed);
 
   const auto fast = attributor_.attribute(run);
   const auto slow = naive.attribute(run);
@@ -371,6 +372,25 @@ TEST_F(AttributorTest, IndexedAndNaivePathsAgreeExactly) {
     EXPECT_EQ(fast[i].antOrigin, slow[i].antOrigin) << i;
     EXPECT_EQ(fast[i].commonOrigin, slow[i].commonOrigin) << i;
     EXPECT_EQ(fast[i].builtinOrigin, slow[i].builtinOrigin) << i;
+  }
+}
+
+TEST_F(AttributorTest, ReflectionDispatcherOutsideAJunkPackageIsElided) {
+  // A frame whose direct callee is Method.invoke is a trampoline even when
+  // its package is not junk: the origin is the reflection target past the
+  // marker, for the production attributor and the seed alike.
+  auto run = baseRun();
+  addFlow(run, 47010, "ads7.unityads.com", net::Ipv4Addr(198, 18, 0, 17), 1000,
+          500, 9000,
+          {"java.net.Socket.connect",
+           "Lcom/unity3d/ads/android/cache/b;->doInBackground([Ljava/lang/String;)V",
+           std::string(rt::kReflectMethodInvokeFrame),
+           "Lcom/launder/dispatch/Router;->route()V", "java.lang.Thread.run"});
+  const reference::SeedAttributor seed(corpus_, categorizer_,
+                                       reference::SeedMode::Seed);
+  for (const auto& flows : {attributor_.attribute(run), seed.attribute(run)}) {
+    ASSERT_EQ(flows.size(), 1u);
+    EXPECT_EQ(flows[0].originLibrary, "com.unity3d.ads.android.cache");
   }
 }
 
@@ -593,11 +613,8 @@ TEST_F(KeepAliveAttributorTest, IndexedAndNaivePathsAgreeOnBoundaries) {
   addFlowReport(run, pair, 1000, kAdStack);
   addBoundary(run, pair, 2000, 1, kAnalyticsStack);
 
-  AttributorConfig naiveConfig;
-  naiveConfig.useCaptureIndex = false;
-  naiveConfig.memoizeFrames = false;
-  naiveConfig.internSymbols = false;
-  const TrafficAttributor naive(corpus_, categorizer_, naiveConfig);
+  const reference::SeedAttributor naive(corpus_, categorizer_,
+                                        reference::SeedMode::Seed);
 
   const auto fast = attributor_.attribute(run);
   const auto slow = naive.attribute(run);

@@ -245,6 +245,23 @@ TEST(ShardedIngestTest, EvictsOldestPendingApkOverCapacity) {
   EXPECT_EQ(ingest.takeReports("third").size(), 1u);
 }
 
+TEST(ShardedIngestTest, TakingAnApkFreesItsCapacitySlot) {
+  IngestConfig config;
+  config.shards = 1;
+  config.maxPendingApks = 2;
+  ShardedIngest ingest(config);
+  ingest.submitDatagram(frameBytes("a", 1, 0));
+  ingest.submitDatagram(frameBytes("b", 1, 0));
+  ingest.drain();
+  EXPECT_EQ(ingest.takeReports("a").size(), 1u);
+  // The slot freed by the take means no eviction on the next apk.
+  ingest.submitDatagram(frameBytes("c", 1, 0));
+  ingest.drain();
+  EXPECT_EQ(ingest.metrics().perShard[0].apksEvicted, 0u);
+  EXPECT_EQ(ingest.takeReports("b").size(), 1u);
+  EXPECT_EQ(ingest.takeReports("c").size(), 1u);
+}
+
 TEST(ShardedIngestTest, MalformedDatagramsAreCountedNotFatal) {
   ShardedIngest ingest;
   ingest.submitDatagram(std::vector<std::uint8_t>{0x01, 0x02, 0x03});

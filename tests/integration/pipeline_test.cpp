@@ -7,7 +7,6 @@
 
 #include "core/analysis.hpp"
 #include "core/attribution.hpp"
-#include "orch/collector.hpp"
 #include "orch/dispatcher.hpp"
 #include "radar/corpus.hpp"
 #include "store/generator.hpp"
@@ -36,10 +35,9 @@ StudyOutcome runStudy(std::size_t apps, std::uint64_t seed) {
   core::TrafficAttributor attributor(corpus, categorizer);
 
   StudyOutcome outcome;
-  orch::CollectionServer collector;
   orch::DispatcherConfig config;
   config.workers = 4;
-  orch::Dispatcher dispatcher(generator.farm(), &collector, config);
+  orch::Dispatcher dispatcher(generator.farm(), nullptr, config);
   std::size_t next = 0;
   dispatcher.run(
       [&]() -> std::optional<orch::Dispatcher::Job> {

@@ -1,9 +1,8 @@
 #include "orch/emulator.hpp"
 
-#include "orch/collector.hpp"
-
 #include <gtest/gtest.h>
 
+#include "ingest/router.hpp"
 #include "util/sha256.hpp"
 
 namespace libspector::orch {
@@ -110,9 +109,10 @@ TEST_F(EmulatorTest, CoverageComputedAgainstDex) {
 }
 
 TEST_F(EmulatorTest, CentralCollectorReceivesSameReports) {
-  CollectionServer collector;
+  ingest::ShardedIngest collector({.shards = 1});
   EmulatorInstance emulator(farm_, &collector, config(10));
   const auto artifacts = emulator.run(apk_, program_);
+  collector.drain();
   const auto central = collector.takeReports(artifacts.apkSha256);
   EXPECT_EQ(central.size(), artifacts.reports.size());
 }

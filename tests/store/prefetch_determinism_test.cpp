@@ -8,9 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -118,69 +115,6 @@ TEST_P(PrefetchStudyDeterminism, ThreadCountDoesNotChangeAStudyByte) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrefetchStudyDeterminism,
                          ::testing::Values(5, 77));
-
-// Symbol interning (ISSUE 5) is a speed/memory knob, never a results knob:
-// with the attributor's cross-run frame cache on or off, at any prefetch
-// thread count, the study must not move by a byte.
-class InterningStudyIdentity : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(InterningStudyIdentity, InterningDoesNotChangeAStudyByte) {
-  const std::uint64_t seed = GetParam();
-  const auto interned = orch::runStudy(studyConfig(seed, 0));
-  const std::string baseline = renderStudy(interned.study);
-  ASSERT_FALSE(baseline.empty());
-
-  for (const std::size_t threads : {0UL, 1UL, 2UL, 8UL}) {
-    auto config = studyConfig(seed, threads);
-    config.attribution.internSymbols = false;
-    const auto plain = orch::runStudy(config);
-    EXPECT_EQ(plain.appsProcessed, interned.appsProcessed);
-    EXPECT_EQ(renderStudy(plain.study), baseline)
-        << "interning off diverged at " << threads << " prefetch threads";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, InterningStudyIdentity,
-                         ::testing::Values(5, 77));
-
-TEST(PrefetchStudyTest, InterningDoesNotChangeACheckpointByte) {
-  // The persisted artifact bundles carry reports and captures that flowed
-  // through the symbol-interned pipeline; every .spab must stay
-  // byte-identical with interning on and off.
-  namespace fs = std::filesystem;
-  const std::string tag =
-      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
-  const std::string dirOn =
-      ::testing::TempDir() + "/spector_intern_on_" + tag;
-  const std::string dirOff =
-      ::testing::TempDir() + "/spector_intern_off_" + tag;
-  fs::remove_all(dirOn);
-  fs::remove_all(dirOff);
-
-  auto on = studyConfig(5, 2);
-  on.artifactsDirectory = dirOn;
-  auto off = studyConfig(5, 2);
-  off.artifactsDirectory = dirOff;
-  off.attribution.internSymbols = false;
-  (void)orch::runStudy(on);
-  (void)orch::runStudy(off);
-
-  const auto readAll = [](const fs::path& file) {
-    std::ifstream in(file, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in), {});
-  };
-  std::size_t bundles = 0;
-  for (const auto& entry : fs::directory_iterator(dirOn)) {
-    if (entry.path().extension() != ".spab") continue;
-    ++bundles;
-    const fs::path other = fs::path(dirOff) / entry.path().filename();
-    ASSERT_TRUE(fs::exists(other)) << entry.path().filename();
-    EXPECT_EQ(readAll(entry.path()), readAll(other))
-        << entry.path().filename() << " differs with interning off";
-  }
-  EXPECT_EQ(bundles, on.store.appCount);
-}
 
 TEST(PrefetchStudyTest, StatsAreReportedThroughStudyOutput) {
   auto config = studyConfig(5, 2);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace libspector::util {
 namespace {
 
@@ -136,6 +138,63 @@ TEST(HumanBytesTest, UnitsScale) {
   EXPECT_EQ(humanBytes(1536), "1.50 KB");
   EXPECT_EQ(humanBytes(1024.0 * 1024.0 * 1.59), "1.59 MB");
   EXPECT_EQ(humanBytes(1024.0 * 1024.0 * 1024.0 * 2.84), "2.84 GB");
+}
+
+TEST(ParseCountTest, AcceptsDigitsInRange) {
+  EXPECT_EQ(parseCount("0", 0, 10), 0u);
+  EXPECT_EQ(parseCount("7", 1, 10), 7u);
+  EXPECT_EQ(parseCount("10", 1, 10), 10u);
+  EXPECT_EQ(parseCount("0042", 1, 100), 42u);
+  EXPECT_EQ(parseCount("18446744073709551615", 0, SIZE_MAX), SIZE_MAX);
+}
+
+TEST(ParseCountTest, RejectsValuesOutsideTheRange) {
+  EXPECT_FALSE(parseCount("0", 1, 10));
+  EXPECT_FALSE(parseCount("11", 1, 10));
+  // A worker count far above any cap is refused, never clamped.
+  EXPECT_FALSE(parseCount("100000", 1, 256));
+}
+
+TEST(ParseCountTest, RejectsSignsAndNegatives) {
+  // strtoul would wrap "-1" to SIZE_MAX; the strict parse refuses it.
+  EXPECT_FALSE(parseCount("-1", 0, SIZE_MAX));
+  EXPECT_FALSE(parseCount("-0", 0, 10));
+  EXPECT_FALSE(parseCount("+5", 0, 10));
+}
+
+TEST(ParseCountTest, RejectsHugeValues) {
+  EXPECT_FALSE(parseCount("18446744073709551616", 0, SIZE_MAX));  // 2^64
+  EXPECT_FALSE(parseCount("99999999999999999999999", 0, SIZE_MAX));
+}
+
+TEST(ParseCountTest, RejectsGarbage) {
+  EXPECT_FALSE(parseCount("", 0, 10));
+  EXPECT_FALSE(parseCount(" 5", 0, 10));
+  EXPECT_FALSE(parseCount("5 ", 0, 10));
+  EXPECT_FALSE(parseCount("5x", 0, 10));
+  EXPECT_FALSE(parseCount("0x5", 0, 10));
+  EXPECT_FALSE(parseCount("5.0", 0, 10));
+  EXPECT_FALSE(parseCount("1e3", 0, 10000));
+  EXPECT_FALSE(parseCount("--help", 0, 10));
+}
+
+TEST(ParseRealTest, AcceptsDecimalsInRange) {
+  EXPECT_EQ(parseReal("0.05", 0.0, 1.0), 0.05);
+  EXPECT_EQ(parseReal("15.58", 0.0, 1e6), 15.58);
+  EXPECT_EQ(parseReal("10", 0.0, 1e6), 10.0);
+  EXPECT_EQ(parseReal("1e2", 0.0, 1e6), 100.0);
+}
+
+TEST(ParseRealTest, RejectsOutOfRangeAndGarbage) {
+  EXPECT_FALSE(parseReal("-1", 0.0, 10.0));
+  EXPECT_FALSE(parseReal("11", 0.0, 10.0));
+  EXPECT_FALSE(parseReal("1e400", 0.0, 1e300));
+  EXPECT_FALSE(parseReal("nan", 0.0, 10.0));
+  EXPECT_FALSE(parseReal("inf", 0.0, 10.0));
+  EXPECT_FALSE(parseReal("", 0.0, 10.0));
+  EXPECT_FALSE(parseReal("+1", 0.0, 10.0));
+  EXPECT_FALSE(parseReal("1.5x", 0.0, 10.0));
+  EXPECT_FALSE(parseReal(" 1.5", 0.0, 10.0));
 }
 
 }  // namespace
