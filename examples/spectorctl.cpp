@@ -15,6 +15,7 @@
 //
 //   spectorctl policy --apps N [--seed S] --block PREFIX [--block ...]
 //       Enforcement dry-run: measure with the given library blacklist.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -66,12 +67,26 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// The option keys each command accepts, without the leading "--".
+const std::map<std::string, std::vector<std::string>> kCommandOptions = {
+    {"run", {"apps", "seed", "workers", "out"}},
+    {"analyze", {"in", "csv", "report"}},
+    {"inspect", {"in", "sha"}},
+    {"policy", {"apps", "seed", "block"}},
+};
+
 Args parseArgs(int argc, char** argv) {
   Args args;
   if (argc > 1) args.command = argv[1];
+  // An unknown command is reported by main; its options go unchecked.
+  const auto accepted = kCommandOptions.find(args.command);
   for (int i = 2; i < argc; i += 2) {
     const std::string key = argv[i];
     if (!key.starts_with("--")) throw UsageError("unexpected argument " + key);
+    if (accepted != kCommandOptions.end() &&
+        std::find(accepted->second.begin(), accepted->second.end(),
+                  key.substr(2)) == accepted->second.end())
+      throw UsageError(args.command + ": unknown option " + key);
     if (i + 1 == argc) throw UsageError(key + ": missing value");
     if (key == "--block") {
       args.blockPrefixes.emplace_back(argv[i + 1]);

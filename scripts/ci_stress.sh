@@ -7,9 +7,8 @@
 # rare wrong answer, so this lane repeats every concurrency test until a
 # one-in-a-hundred interleaving has had its chance.
 #
-# Runtime: about 11 minutes on a 4-core x86-64 box with REPEAT=10,
-# measured including an incremental build; spectord_daemon_test's
-# wait-bound dashboard tests take about 7.5 of those minutes.
+# Runtime: about 6 minutes on a 4-core x86-64 box with REPEAT=10,
+# measured including a cold build of the targets.
 #
 # Usage: scripts/ci_stress.sh [build-dir]   (default: build-stress)
 set -euo pipefail

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # TSan CI lane: build the concurrent subsystems under ThreadSanitizer and
 # run the tests that exercise them — the ingest tier (sharded router,
-# pipeline, chaos channel, v3 dictionary path), the dispatcher fleet, the
-# job-prefetch generator pool, the lock-free-read symbol pool, the shared
-# attributor (compiled attribution program and cross-run frame cache, raced
-# by 8 threads in the seed differential) and the columnar fold that
+# pipeline, chaos channel, v3 dictionary path), the dispatcher fleet and
+# its shared frame-table LRU cache, the job-prefetch generator pool, the
+# lock-free-read symbol pool, the shared attributor (compiled attribution
+# program and cross-run frame cache, raced by 8 threads in the seed
+# differential) and the columnar fold that
 # concurrent shard workers run through, and the spectord daemon (event loop
 # vs. client threads vs. shard consumers, plus the multi-collector
 # runCollector study runner and the resilient client tier —
@@ -35,6 +36,6 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${CONCURRENCY_TARGETS[@]}"
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)" \
-  -R 'Ingest|Dispatcher|StudyRunner|Recovery|Database|Prefetch|Symbol|AttributionProgram|FlowColumns|Columnar|SeedDifferential|Spectord|Reconnector|ScenarioMatrix')
+  -R 'Ingest|Dispatcher|StudyRunner|Recovery|Database|Prefetch|Symbol|AttributionProgram|FlowColumns|Columnar|SeedDifferential|FrameTableCache|Spectord|Reconnector|ScenarioMatrix')
 
 echo "TSan lane: OK"

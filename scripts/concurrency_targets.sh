@@ -9,6 +9,7 @@ CONCURRENCY_TARGETS=(
   ingest_stress_test
   ingest_dict_test
   dispatcher_test
+  frame_table_cache_test
   study_test
   recovery_test
   database_test

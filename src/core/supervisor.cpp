@@ -13,7 +13,8 @@ SocketSupervisor::SocketSupervisor(net::SockEndpoint collector,
 
 std::string translateFrame(const rt::StackFrameSnapshot& frame,
                            const rt::AppProgram& program,
-                           const dex::FrameTranslationTable& translations) {
+                           const dex::FrameTranslationTable& translations,
+                           const dex::ApkFile& apk) {
   if (frame.isAppFrame()) {
     // Xposed hands the hook the reflected Method object, so app frames are
     // overload-precise.
@@ -21,8 +22,8 @@ std::string translateFrame(const rt::StackFrameSnapshot& frame,
   }
   // Framework frames: try the dex translation table (third-party code
   // bundled in the apk shows up here), otherwise keep the frame name.
-  const auto& overloads = translations.lookup(frame.name);
-  if (!overloads.empty()) return overloads.front();
+  const std::string_view overload = translations.firstOverload(frame.name, apk);
+  if (!overload.empty()) return std::string(overload);
   return frame.name;
 }
 
@@ -44,7 +45,7 @@ void SocketSupervisor::onAppLoaded(rt::Interpreter& runtime,
           ? tableCache_->tableFor(sha, apk)
           : std::make_shared<const dex::FrameTranslationTable>(apk);
   auto state = std::make_shared<AppState>(
-      AppState{std::move(sha), std::move(translations)});
+      AppState{std::move(sha), &apk, std::move(translations)});
   runtime.registerPostHook(
       std::string(rt::kSocketConnectFrame),
       [this, state](const rt::SocketHookContext& context) {
@@ -84,7 +85,8 @@ void SocketSupervisor::onSocketConnected(
   report.stackSignatures.reserve(trace.size());
   for (const auto& frame : trace)
     report.stackSignatures.push_back(
-        translateFrame(frame, runtime.program(), *state->translations));
+        translateFrame(frame, runtime.program(), *state->translations,
+                       *state->apk));
 
   // Framed with the worker id and this run's next sequence number: the
   // channel is best-effort UDP, and only sender-assigned sequencing lets

@@ -55,6 +55,10 @@ class SocketSupervisor final : public hook::XposedModule {
  private:
   struct AppState {
     std::string apkSha256;
+    /// The run's apk: the table's lookups read signatures from it. It
+    /// outlives the runtime whose hooks hold this state (the emulator
+    /// keeps it for the whole run).
+    const dex::ApkFile* apk = nullptr;
     std::shared_ptr<const dex::FrameTranslationTable> translations;
   };
 
@@ -72,9 +76,10 @@ class SocketSupervisor final : public hook::XposedModule {
 
 /// Translate one stack frame to what the report should carry: the exact
 /// type signature for app frames (overload-precise), the frame name for
-/// framework frames that are not in the apk's dex files.
+/// framework frames that are not in the apk's dex files. `translations`
+/// must have been built from `apk` (or from the same bytes).
 [[nodiscard]] std::string translateFrame(
     const rt::StackFrameSnapshot& frame, const rt::AppProgram& program,
-    const dex::FrameTranslationTable& translations);
+    const dex::FrameTranslationTable& translations, const dex::ApkFile& apk);
 
 }  // namespace libspector::core

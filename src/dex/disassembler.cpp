@@ -1,6 +1,80 @@
 #include "dex/disassembler.hpp"
 
+#include <algorithm>
+#include <array>
+
 namespace libspector::dex {
+
+namespace {
+
+// 32-bit FNV-1a: the table stores only this hash of each frame name, and a
+// lookup confirms every hash match against the apk's signature.
+constexpr std::uint32_t kFnvOffset = 2166136261u;
+constexpr std::uint32_t kFnvPrime = 16777619u;
+
+constexpr std::uint32_t fnvStep(std::uint32_t hash, char c) noexcept {
+  return (hash ^ static_cast<unsigned char>(c)) * kFnvPrime;
+}
+
+/// hashFrameName of a signature's dotted frame name, computed from its
+/// slashed class ("com/foo/Bar" + "baz" hashes as "com.foo.Bar.baz")
+/// without building the name.
+std::uint32_t hashSignatureFrame(const SignatureView& signature) noexcept {
+  std::uint32_t hash = kFnvOffset;
+  for (const char c : signature.slashedClass)
+    hash = fnvStep(hash, c == '/' ? '.' : c);
+  hash = fnvStep(hash, '.');
+  for (const char c : signature.methodName) hash = fnvStep(hash, c);
+  return hash;
+}
+
+/// True when `frameName` is the dotted frame name of `signature`.
+bool isFrameOf(std::string_view frameName,
+               const SignatureView& signature) noexcept {
+  const std::string_view cls = signature.slashedClass;
+  if (frameName.size() != cls.size() + 1 + signature.methodName.size())
+    return false;
+  for (std::size_t i = 0; i < cls.size(); ++i)
+    if (frameName[i] != (cls[i] == '/' ? '.' : cls[i])) return false;
+  return frameName[cls.size()] == '.' &&
+         frameName.substr(cls.size() + 1) == signature.methodName;
+}
+
+/// Stable LSD radix sort of `keys`, 8 bits a pass, carrying `values` along:
+/// values appended in dex order come out sorted by (key, dex order).
+/// Linear, where a comparison sort of a paper-scale apk's entries costs as
+/// much as parsing it.
+void sortByKey(std::vector<std::uint32_t>& keys,
+               std::vector<std::uint32_t>& values) {
+  std::vector<std::uint32_t> keyBuffer(keys.size());
+  std::vector<std::uint32_t> valueBuffer(values.size());
+  for (unsigned shift = 0; shift < 32; shift += 8) {
+    std::array<std::size_t, 257> next{};
+    for (const std::uint32_t key : keys) ++next[((key >> shift) & 0xff) + 1];
+    for (std::size_t digit = 1; digit < next.size(); ++digit)
+      next[digit] += next[digit - 1];
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const std::size_t to = next[(keys[i] >> shift) & 0xff]++;
+      keyBuffer[to] = keys[i];
+      valueBuffer[to] = values[i];
+    }
+    keys.swap(keyBuffer);
+    values.swap(valueBuffer);
+  }
+}
+
+/// The range holding `at`, given ascending range starts: the last start at
+/// or before it. An empty range starts where the next one does, so the last
+/// of equal starts is the one that holds anything.
+std::size_t rangeOf(const std::vector<std::uint32_t>& starts,
+                    std::uint32_t at) {
+  return static_cast<std::size_t>(
+             std::upper_bound(starts.begin(), starts.end(), at) -
+             starts.begin()) -
+         1;
+}
+
+}  // namespace
 
 std::vector<std::string> allMethodSignatures(const ApkFile& apk) {
   std::vector<std::string> out;
@@ -12,22 +86,77 @@ std::vector<std::string> allMethodSignatures(const ApkFile& apk) {
 }
 
 FrameTranslationTable::FrameTranslationTable(const ApkFile& apk) {
+  std::size_t classes = 0;
+  for (const auto& dex : apk.dexFiles) classes += dex.classes.size();
+  hashes_.reserve(apk.totalMethodCount());
+  ordinals_.reserve(apk.totalMethodCount());
+  classBegin_.reserve(classes);
+  dexBegin_.reserve(apk.dexFiles.size());
+  std::uint32_t ordinal = 0;
   for (const auto& dex : apk.dexFiles) {
+    dexBegin_.push_back(static_cast<std::uint32_t>(classBegin_.size()));
     for (const auto& cls : dex.classes) {
-      for (const auto& m : cls.methods) {
-        auto sig = TypeSignature::parse(m.signature);
-        if (!sig) continue;  // tolerate malformed entries like real dex tools
-        table_[sig->frameName()].push_back(m.signature);
+      classBegin_.push_back(ordinal);
+      for (const auto& method : cls.methods) {
+        const auto signature = parseSignatureView(method.signature);
+        // Tolerate malformed entries like real dex tools.
+        if (signature) {
+          hashes_.push_back(hashSignatureFrame(*signature));
+          ordinals_.push_back(ordinal);
+        }
+        ++ordinal;
       }
     }
   }
+  sortByKey(hashes_, ordinals_);
 }
 
-const std::vector<std::string>& FrameTranslationTable::lookup(
-    const std::string& frameName) const {
-  static const std::vector<std::string> kEmpty;
-  const auto it = table_.find(frameName);
-  return it == table_.end() ? kEmpty : it->second;
+std::uint32_t FrameTranslationTable::hashFrameName(
+    std::string_view frameName) noexcept {
+  std::uint32_t hash = kFnvOffset;
+  for (const char c : frameName) hash = fnvStep(hash, c);
+  return hash;
+}
+
+template <typename Visit>
+void FrameTranslationTable::forEachOverload(std::string_view frameName,
+                                            const ApkFile& apk,
+                                            Visit&& visit) const {
+  const std::uint32_t hash = hashFrameName(frameName);
+  const auto first = std::lower_bound(hashes_.begin(), hashes_.end(), hash);
+  for (auto i = static_cast<std::size_t>(first - hashes_.begin());
+       i < hashes_.size() && hashes_[i] == hash; ++i) {
+    const std::uint32_t ordinal = ordinals_[i];
+    const std::size_t cls = rangeOf(classBegin_, ordinal);
+    const std::size_t dex = rangeOf(dexBegin_, static_cast<std::uint32_t>(cls));
+    const std::string& signature =
+        apk.dexFiles[dex]
+            .classes[cls - dexBegin_[dex]]
+            .methods[ordinal - classBegin_[cls]]
+            .signature;
+    const auto parts = parseSignatureView(signature);
+    if (parts && isFrameOf(frameName, *parts) && !visit(signature)) return;
+  }
+}
+
+std::vector<std::string_view> FrameTranslationTable::lookup(
+    std::string_view frameName, const ApkFile& apk) const {
+  std::vector<std::string_view> out;
+  forEachOverload(frameName, apk, [&out](std::string_view signature) {
+    out.push_back(signature);
+    return true;
+  });
+  return out;
+}
+
+std::string_view FrameTranslationTable::firstOverload(
+    std::string_view frameName, const ApkFile& apk) const {
+  std::string_view first;
+  forEachOverload(frameName, apk, [&first](std::string_view signature) {
+    first = signature;
+    return false;
+  });
+  return first;
 }
 
 FrameTableCache::FrameTableCache(std::size_t capacity)

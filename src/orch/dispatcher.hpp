@@ -123,6 +123,10 @@ class Dispatcher {
     return failures_;
   }
   [[nodiscard]] Stats stats() const noexcept { return stats_; }
+  /// Hit/miss/eviction counters of the fleet's frame-table cache.
+  [[nodiscard]] dex::FrameTableCache::Stats frameTableStats() const {
+    return frameTables_.stats();
+  }
 
  private:
   void recordJob(double jobMs, double sinkMs, double blockedMs);

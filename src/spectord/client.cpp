@@ -264,6 +264,10 @@ std::size_t DashboardClient::poll(std::chrono::milliseconds timeout) {
   while (true) {
     std::optional<Frame> frame = channel_.tryRead();
     if (!frame) {
+      // Everything ready has been drained: return as soon as it folded
+      // something, so waitForSnapshot/waitForRuns see progress without
+      // waiting out the rest of the timeout.
+      if (folded > 0) break;
       const auto now = std::chrono::steady_clock::now();
       if (timeout.count() == 0 || now >= deadline || channel_.peerClosed())
         break;

@@ -152,8 +152,9 @@ class DashboardClient {
 
   void subscribe(Topic topic);
 
-  /// Process daemon frames until the deadline (0 = only what is already
-  /// buffered). Returns the number of frames folded.
+  /// Process every daemon frame already buffered; if none of them folded
+  /// into the mirror, wait for more until one does or the deadline passes
+  /// (0 = never wait). Returns the number of frames folded.
   std::size_t poll(std::chrono::milliseconds timeout =
                        std::chrono::milliseconds(0));
 

@@ -115,15 +115,16 @@ TEST_F(SupervisorTest, TranslateFramePrefersMethodIdThenTable) {
   // App frame: exact signature via method id.
   const rt::StackFrameSnapshot appFrame{
       "com.unity3d.ads.android.cache.b.a", static_cast<std::int32_t>(helper_)};
-  EXPECT_EQ(translateFrame(appFrame, program_, table),
+  EXPECT_EQ(translateFrame(appFrame, program_, table, apk_),
             program_.method(helper_).signature);
   // Framework frame present in dex: resolved through the table.
   const rt::StackFrameSnapshot dexFrame{"com.unity3d.ads.android.cache.b.a", -1};
-  EXPECT_EQ(translateFrame(dexFrame, program_, table),
+  EXPECT_EQ(translateFrame(dexFrame, program_, table, apk_),
             program_.method(helper_).signature);
   // Pure framework frame: kept as the frame name.
   const rt::StackFrameSnapshot framework{"java.net.Socket.connect", -1};
-  EXPECT_EQ(translateFrame(framework, program_, table), "java.net.Socket.connect");
+  EXPECT_EQ(translateFrame(framework, program_, table, apk_),
+            "java.net.Socket.connect");
 }
 
 TEST_F(SupervisorTest, ReportTimestampMatchesEmulatorClock) {

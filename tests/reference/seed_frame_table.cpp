@@ -1,0 +1,26 @@
+#include "reference/seed_frame_table.hpp"
+
+#include "dex/type_signature.hpp"
+
+namespace libspector::reference {
+
+SeedFrameTable::SeedFrameTable(const dex::ApkFile& apk) {
+  for (const auto& dex : apk.dexFiles) {
+    for (const auto& cls : dex.classes) {
+      for (const auto& m : cls.methods) {
+        auto sig = dex::TypeSignature::parse(m.signature);
+        if (!sig) continue;  // tolerate malformed entries like real dex tools
+        table_[sig->frameName()].push_back(m.signature);
+      }
+    }
+  }
+}
+
+const std::vector<std::string>& SeedFrameTable::lookup(
+    const std::string& frameName) const {
+  static const std::vector<std::string> kEmpty;
+  const auto it = table_.find(frameName);
+  return it == table_.end() ? kEmpty : it->second;
+}
+
+}  // namespace libspector::reference

@@ -272,8 +272,17 @@ TEST_F(SpectordDaemonTest, DashboardMirrorReconstructsDaemonStateExactly) {
   late.subscribe(Topic::Loss);
   late.subscribe(Topic::Progress);
 
+  // Each topic's snapshot and deltas are frames of their own, so wait for
+  // every view checked below: the late subscriber's three snapshots (taken
+  // after the drain) and the early one's last Progress delta, which the
+  // daemon sends after that run's Totals and Loss deltas.
+  for (const Topic topic : {Topic::Totals, Topic::Loss, Topic::Progress})
+    ASSERT_TRUE(late.waitForSnapshot(topic, 10000ms));
   ASSERT_TRUE(early.waitForRuns(4, 10000ms));
-  ASSERT_TRUE(late.waitForRuns(4, 10000ms));
+  const auto deadline = std::chrono::steady_clock::now() + 10000ms;
+  while (early.mirror().runsFolded < 4 &&
+         std::chrono::steady_clock::now() < deadline)
+    early.poll(100ms);
 
   const auto reference = daemon->rollingTotals();
   for (const DashboardClient* dashboard : {&early, &late}) {
