@@ -100,6 +100,9 @@ void runHeadlineComparison() {
   if (std::FILE* json = std::fopen("BENCH_store.json", "w")) {
     std::fprintf(json, "{\n  \"apps\": %zu,\n  \"hardware_threads\": %zu,\n",
                  kApps, hardware);
+    // Flat headline for scripts/check_bench_floor.py: expand + hash on one
+    // thread, the work a study's single generator thread does per app.
+    std::fprintf(json, "  \"serial_apps_per_sec\": %.2f,\n", serialRate);
     std::fprintf(json, "  \"configurations\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
       const double rate = static_cast<double>(kApps) / results[i].seconds;

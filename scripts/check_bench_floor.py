@@ -9,6 +9,7 @@ JSON next to the cwd:
   bench/ingest_throughput      -> BENCH_ingest.json
   bench/spectord_throughput    -> BENCH_spectord.json
   bench/scenario_throughput    -> BENCH_scenarios.json
+  bench/store_generation       -> BENCH_store.json
 
 This script fails when any gated metric regresses below its recorded
 floor, so an accidental slow-down on a hot path turns a green lane red
@@ -81,6 +82,14 @@ FLOORS = {
         # magnitude as the legacy corpus (measured ~73/s vs ~62/s on the
         # 1-core CI box).
         "scenario_apps_per_sec": (15.0, "/s"),
+    },
+    "BENCH_store.json": {
+        # App-store expansion + apk sha256 on one thread: the work of a
+        # study's single generator thread, which bounds study_fresh.
+        # Measured ~348/s on a 4-vCPU x86-64 box with SHA-NI (~124/s with
+        # the portable kernel and the old makeJob), so a quarter of it
+        # also holds on a CPU without SHA-NI.
+        "serial_apps_per_sec": (85.0, "/s"),
     },
 }
 

@@ -3,7 +3,9 @@
 # examples) with AddressSanitizer and UndefinedBehaviorSanitizer
 # (LIBSPECTOR_SANITIZE=address enables both) and run the full ctest suite.
 # Catches use-after-free, buffer overruns, leaks and UB on every decoder,
-# fuzz and study path that tier-1 exercises.
+# fuzz and study path that tier-1 exercises, including both sha256
+# compression kernels (tests/util/sha256_test runs the SHA-NI intrinsics
+# directly) and the generated-apk digest golden.
 #
 # Usage: scripts/ci_asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail

@@ -43,14 +43,7 @@ std::span<const std::string_view> builtinFramePrefixes() noexcept {
 }
 
 std::string frameNameOf(std::string_view entry) {
-  if (const auto sig = dex::parseSignatureView(entry)) {
-    std::string out;
-    out.reserve(sig->slashedClass.size() + 1 + sig->methodName.size());
-    for (const char c : sig->slashedClass) out += c == '/' ? '.' : c;
-    out += '.';
-    out += sig->methodName;
-    return out;
-  }
+  if (const auto sig = dex::parseSignatureView(entry)) return sig->frameName();
   return std::string(entry);
 }
 

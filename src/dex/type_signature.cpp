@@ -118,6 +118,15 @@ std::optional<SignatureView> parseSignatureView(std::string_view smali) noexcept
   return SignatureView{parts->classPart, parts->name};
 }
 
+std::string SignatureView::frameName() const {
+  std::string out;
+  out.reserve(slashedClass.size() + 1 + methodName.size());
+  for (const char c : slashedClass) out += c == '/' ? '.' : c;
+  out += '.';
+  out += methodName;
+  return out;
+}
+
 TypeSignature::TypeSignature(std::string dottedClass, std::string methodName,
                              std::vector<std::string> paramTypes,
                              std::string returnType)

@@ -63,6 +63,10 @@ class TypeSignature {
 struct SignatureView {
   std::string_view slashedClass;  // "com/unity3d/ads/android/cache/b"
   std::string_view methodName;    // "doInBackground"
+
+  /// "com.unity3d.ads.android.cache.b.doInBackground", built in one
+  /// allocation; equal to TypeSignature::frameName() of the same input.
+  [[nodiscard]] std::string frameName() const;
 };
 
 /// Parse `smali` into a SignatureView; std::nullopt on malformed input

@@ -1,5 +1,6 @@
 #include "spectord/client.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace libspector::spectord {
@@ -196,23 +197,51 @@ void IngestClient::bye() {
 
 // --- DashboardClient -------------------------------------------------------
 
+namespace {
+
+std::size_t viewIndex(Topic topic) { return static_cast<std::size_t>(topic); }
+
+/// Runs the Totals and Progress views have seen: a lower bound on what
+/// any frame folded after them includes.
+std::uint64_t runsSeen(const DashboardMirror& mirror) {
+  return std::max(mirror.viewRuns[viewIndex(Topic::Totals)],
+                  mirror.viewRuns[viewIndex(Topic::Progress)]);
+}
+
+}  // namespace
+
 void DashboardMirror::applySnapshot(const SnapshotMsg& snapshot) {
   switch (snapshot.topic) {
     case Topic::Totals:
       totals = snapshot.totals;
+      viewRuns[viewIndex(Topic::Totals)] = totals.runsFolded;
       break;
     case Topic::Loss:
       accounts.clear();
       for (const auto& [sha, account] : snapshot.accounts)
         accounts[sha] = account;
+      viewRuns[viewIndex(Topic::Loss)] =
+          std::max<std::uint64_t>(runsSeen(*this), accounts.size());
       break;
     case Topic::Progress:
+      // Only a Progress snapshot carries the progress counters on the
+      // wire; the others decode them as 0.
+      runsFolded = snapshot.runsFolded;
+      expectedRuns = snapshot.expectedRuns;
+      reportsDelivered = snapshot.reportsDelivered;
+      reportsLost = snapshot.reportsLost;
+      viewRuns[viewIndex(Topic::Progress)] = runsFolded;
       break;
   }
-  runsFolded = snapshot.runsFolded;
-  expectedRuns = snapshot.expectedRuns;
-  reportsDelivered = snapshot.reportsDelivered;
-  reportsLost = snapshot.reportsLost;
+}
+
+std::uint64_t DashboardMirror::runsInEvery(
+    std::span<const Topic> topics) const noexcept {
+  if (topics.empty()) return 0;
+  std::uint64_t runs = viewRuns[viewIndex(topics.front())];
+  for (const Topic topic : topics)
+    runs = std::min(runs, viewRuns[viewIndex(topic)]);
+  return runs;
 }
 
 void DashboardMirror::applyDelta(const DeltaMsg& delta) {
@@ -227,17 +256,22 @@ void DashboardMirror::applyDelta(const DeltaMsg& delta) {
       for (const auto& [cat, bytes] : delta.bytesByLibCategory)
         totals.bytesByLibCategory[cat] += bytes;
       totals.bytesByApp[delta.apkSha256] += delta.attributedBytes;
+      viewRuns[viewIndex(Topic::Totals)] = totals.runsFolded;
       break;
     }
-    case Topic::Loss:
+    case Topic::Loss: {
       accounts[delta.apkSha256] = delta.account;
+      auto& lossRuns = viewRuns[viewIndex(Topic::Loss)];
+      lossRuns = std::max(lossRuns + 1, runsSeen(*this));
       break;
+    }
     case Topic::Progress:
       // Cumulative-as-of-that-run values, emitted in order: replace.
       runsFolded = delta.runsFolded;
       expectedRuns = delta.expectedRuns;
       reportsDelivered = delta.reportsDelivered;
       reportsLost = delta.reportsLost;
+      viewRuns[viewIndex(Topic::Progress)] = runsFolded;
       break;
   }
 }
@@ -253,6 +287,8 @@ DashboardClient::DashboardClient(ChannelEndpoint endpoint,
 }
 
 void DashboardClient::subscribe(Topic topic) {
+  if (std::find(topics_.begin(), topics_.end(), topic) == topics_.end())
+    topics_.push_back(topic);
   SubscribeMsg msg;
   msg.topic = topic;
   channel_.send(FrameType::Subscribe, msg.encode());
@@ -317,7 +353,7 @@ bool DashboardClient::waitForSnapshot(Topic topic,
 bool DashboardClient::waitForRuns(std::uint64_t runs,
                                   std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (mirror_.totals.runsFolded < runs) {
+  while (mirror_.runsInEvery(topics_) < runs) {
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) return false;
     poll(std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now));

@@ -19,6 +19,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -138,9 +139,21 @@ struct DashboardMirror {
   std::uint64_t expectedRuns = 0;
   std::uint64_t reportsDelivered = 0;
   std::uint64_t reportsLost = 0;
+  /// Runs each topic's view is known to include, indexed by Topic; 0 until
+  /// the topic's first snapshot. Totals and Progress frames carry the
+  /// count. Loss frames carry none, so a Loss view is credited with the
+  /// runs of the Totals/Progress frames folded before it: the daemon sends
+  /// a run's deltas in topic order (Totals, Loss, Progress), applies each
+  /// run before publishing it, and frames arrive in send order. A Loss
+  /// snapshot also counts at least one run per account.
+  std::array<std::uint64_t, 4> viewRuns{};
 
   void applySnapshot(const SnapshotMsg& snapshot);
   void applyDelta(const DeltaMsg& delta);
+  /// The fewest runs any view in `topics` is known to include; 0 when
+  /// `topics` is empty.
+  [[nodiscard]] std::uint64_t runsInEvery(
+      std::span<const Topic> topics) const noexcept;
 };
 
 class DashboardClient {
@@ -160,7 +173,9 @@ class DashboardClient {
 
   /// Poll until the mirror has folded a snapshot for `topic`.
   bool waitForSnapshot(Topic topic, std::chrono::milliseconds timeout);
-  /// Poll until the mirror's Totals view has seen `runs` runs.
+  /// Poll until every subscribed topic's view includes `runs` runs (see
+  /// DashboardMirror::viewRuns); false at the deadline. With nothing
+  /// subscribed no view ever moves.
   bool waitForRuns(std::uint64_t runs, std::chrono::milliseconds timeout);
 
   [[nodiscard]] const DashboardMirror& mirror() const noexcept {
@@ -185,6 +200,7 @@ class DashboardClient {
   DashboardMirror mirror_;
   std::uint64_t session_ = 0;
   std::array<std::uint64_t, 4> snapshots_{};
+  std::vector<Topic> topics_;  // subscribed, in subscribe order
   std::uint64_t deltas_ = 0;
   bool bye_ = false;
 };

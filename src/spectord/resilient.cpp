@@ -382,7 +382,7 @@ bool ResilientDashboardClient::waitForSnapshot(
 bool ResilientDashboardClient::waitForRuns(std::uint64_t runs,
                                            std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (mirror().totals.runsFolded < runs) {
+  while (mirror().runsInEvery(topics_) < runs) {
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) return false;
     poll(std::min(

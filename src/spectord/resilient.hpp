@@ -229,6 +229,8 @@ class ResilientDashboardClient {
   std::size_t poll(std::chrono::milliseconds timeout =
                        std::chrono::milliseconds(0));
   bool waitForSnapshot(Topic topic, std::chrono::milliseconds timeout);
+  /// Poll until every subscribed topic's view includes `runs` runs, as
+  /// DashboardClient::waitForRuns does.
   bool waitForRuns(std::uint64_t runs, std::chrono::milliseconds timeout);
 
   [[nodiscard]] const DashboardMirror& mirror() const;

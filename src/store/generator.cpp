@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -14,23 +15,25 @@ namespace {
 constexpr double kAntFreeFraction = 0.10;
 constexpr double kAntOnlyFraction = 0.34;
 
-std::string slashed(std::string_view dotted) {
-  std::string out(dotted);
-  std::replace(out.begin(), out.end(), '.', '/');
-  return out;
-}
-
-/// Smali signature builder.
+/// Smali signature builder: sized once, the class slashed as it is copied.
 std::string makeSignature(std::string_view dottedClass, std::string_view method,
                           std::string_view params = "", std::string_view ret = "V") {
-  std::string out = "L";
-  out += slashed(dottedClass);
-  out += ";->";
-  out += method;
-  out += "(";
-  out += params;
-  out += ")";
-  out += ret;
+  std::string out(1 + dottedClass.size() + 3 + method.size() + 1 +
+                      params.size() + 1 + ret.size(),
+                  '\0');
+  char* next = out.data();
+  const auto put = [&next](std::string_view part) {
+    std::memcpy(next, part.data(), part.size());
+    next += part.size();
+  };
+  *next++ = 'L';
+  for (const char c : dottedClass) *next++ = c == '.' ? '/' : c;
+  put(";->");
+  put(method);
+  *next++ = '(';
+  put(params);
+  *next++ = ')';
+  put(ret);
   return out;
 }
 
@@ -762,7 +765,10 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
   apk.vtScanDate = version.vtScanDate;
   apk.abis = version.abis;
 
-  // Group program methods into classes.
+  // Group program methods into classes. The map's iteration order *is* the
+  // dex class order, so it is part of the apk bytes and of every apk's
+  // sha256: insert in the same sequence, and never reserve, rehash or
+  // replace the map (tests/store/apk_digest_golden_test pins the result).
   std::unordered_map<std::string, std::vector<std::string>> byClass;
   for (auto& [cls, signature] : dexEntries)
     byClass[cls].push_back(std::move(signature));
@@ -776,8 +782,16 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
       const std::string cls = package + ".a" + std::to_string(classIndex++);
       auto& methods = byClass[cls];
       const std::size_t inClass = std::min<std::size_t>(16, count - made);
-      for (std::size_t m = 0; m < inClass; ++m)
-        methods.push_back(makeSignature(cls, "m" + std::to_string(m), "I", "I"));
+      methods.reserve(methods.size() + inClass);
+      // Every method here is "L<class>;->m<N>(I)I": slash the class once.
+      const std::string shape = makeSignature(cls, "m", "I", "I");
+      const std::string_view head(shape.data(), shape.size() - 4);  // "L<class>;->m"
+      for (std::size_t m = 0; m < inClass; ++m) {
+        std::string signature;
+        signature.reserve(shape.size() + 2);
+        signature.append(head).append(std::to_string(m)).append("(I)I");
+        methods.push_back(std::move(signature));
+      }
       made += inClass;
     }
     methodCount += count;

@@ -23,8 +23,7 @@ JobPrefetcher::JobPrefetcher(const AppStoreGenerator& generator,
                              PrefetchConfig config)
     : generator_(generator),
       indices_(std::move(indices)),
-      config_{config.threads, std::max<std::size_t>(config.capacity, 1),
-              config.hashApks} {
+      config_{config.threads, std::max<std::size_t>(config.capacity, 1)} {
   const std::size_t threads =
       std::min(config_.threads, std::max<std::size_t>(indices_.size(), 1));
   generators_.reserve(threads);
@@ -50,7 +49,7 @@ JobPrefetcher::Item JobPrefetcher::expand(std::size_t position) const {
   Item item;
   item.index = indices_[position];
   item.job = generator_.makeJob(item.index);
-  if (config_.hashApks) item.apkSha256 = util::toHex(item.job.apk.sha256());
+  item.apkSha256 = util::toHex(item.job.apk.sha256());
   return item;
 }
 

@@ -33,9 +33,6 @@ struct PrefetchConfig {
   /// plus in expansion), so memory stays O(capacity) jobs no matter how
   /// far the generators could run ahead of a slow consumer.
   std::size_t capacity = 32;
-  /// Also compute each apk's sha256 during expansion (one streaming walk),
-  /// so emulator workers and the supervisor never re-serialize to hash.
-  bool hashApks = true;
 };
 
 /// Bounded, order-preserving pool of generator threads over a fixed index
@@ -48,7 +45,9 @@ class JobPrefetcher {
     /// replayed corpora keep their original identities).
     std::size_t index = 0;
     AppStoreGenerator::Job job;
-    /// Hex digest of the apk's serialized bytes; empty when hashApks off.
+    /// Hex digest of the apk's serialized bytes, computed during expansion
+    /// (one streaming walk) so emulator workers and the supervisor never
+    /// re-serialize to hash.
     std::string apkSha256;
   };
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <filesystem>
 #include <memory>
@@ -272,17 +273,12 @@ TEST_F(SpectordDaemonTest, DashboardMirrorReconstructsDaemonStateExactly) {
   late.subscribe(Topic::Loss);
   late.subscribe(Topic::Progress);
 
-  // Each topic's snapshot and deltas are frames of their own, so wait for
-  // every view checked below: the late subscriber's three snapshots (taken
-  // after the drain) and the early one's last Progress delta, which the
-  // daemon sends after that run's Totals and Loss deltas.
-  for (const Topic topic : {Topic::Totals, Topic::Loss, Topic::Progress})
-    ASSERT_TRUE(late.waitForSnapshot(topic, 10000ms));
+  // waitForRuns returns once every subscribed view includes the runs:
+  // the late subscriber's three snapshots (taken after the drain) and the
+  // early one's last Progress delta, which the daemon sends after that
+  // run's Totals and Loss deltas.
+  ASSERT_TRUE(late.waitForRuns(4, 10000ms));
   ASSERT_TRUE(early.waitForRuns(4, 10000ms));
-  const auto deadline = std::chrono::steady_clock::now() + 10000ms;
-  while (early.mirror().runsFolded < 4 &&
-         std::chrono::steady_clock::now() < deadline)
-    early.poll(100ms);
 
   const auto reference = daemon->rollingTotals();
   for (const DashboardClient* dashboard : {&early, &late}) {
@@ -308,6 +304,85 @@ TEST_F(SpectordDaemonTest, DashboardMirrorReconstructsDaemonStateExactly) {
   EXPECT_GT(daemon->metrics().subscriberDeltasSent, 0u);
   EXPECT_EQ(daemon->metrics().subscriberDeltasDropped, 0u);
   client.bye();
+}
+
+// Each topic's snapshot and deltas are frames of their own. waitForRuns
+// must not return on the Totals view alone while the Loss and Progress
+// views of the same runs are still in flight: a caller that reads them
+// straight after it (examples/spectord_fleet prints the Progress view)
+// gets no second chance to poll.
+TEST_F(SpectordDaemonTest, WaitForRunsLeavesEverySubscribedViewCurrent) {
+  auto daemon = makeDaemon(daemonConfig());
+  DashboardClient dashboard(daemon->connect(), /*clientId=*/102);
+  dashboard.subscribe(Topic::Totals);
+  dashboard.subscribe(Topic::Loss);
+  dashboard.subscribe(Topic::Progress);
+
+  IngestClient client(daemon->connect(), /*clientId=*/4);
+  constexpr std::size_t kRuns = 3;
+  for (std::size_t i = 0; i < kRuns; ++i) {
+    auto artifacts = runApp(i, &client);
+    ASSERT_TRUE(client.completeRun(i, artifacts).accepted);
+    // Every run's Totals, Loss and Progress deltas are queued together.
+    daemon->drain();
+    ASSERT_TRUE(dashboard.waitForRuns(i + 1, 10000ms));
+    const DashboardMirror& mirror = dashboard.mirror();
+    EXPECT_EQ(mirror.totals.runsFolded, i + 1);
+    EXPECT_EQ(mirror.runsFolded, i + 1) << "Progress view lags";
+    EXPECT_EQ(mirror.accounts.size(), i + 1) << "Loss view lags";
+    for (const auto& [sha, account] : daemon->pipeline().lossAccounts())
+      EXPECT_EQ(mirror.accounts.at(sha), account);
+    for (const Topic topic : {Topic::Totals, Topic::Loss, Topic::Progress})
+      EXPECT_EQ(mirror.viewRuns[static_cast<std::size_t>(topic)], i + 1);
+  }
+  client.bye();
+}
+
+// The same ordering, frame by frame: a run's Totals delta alone does not
+// make the Loss or Progress view current.
+TEST(DashboardMirrorTest, EachViewCountsOnlyTheRunsItHasFolded) {
+  const std::array<Topic, 3> all = {Topic::Totals, Topic::Loss,
+                                    Topic::Progress};
+  DashboardMirror mirror;
+  EXPECT_EQ(mirror.runsInEvery(all), 0u);
+  for (const Topic topic : all) {
+    SnapshotMsg snapshot;
+    snapshot.topic = topic;
+    mirror.applySnapshot(snapshot);
+  }
+  EXPECT_EQ(mirror.runsInEvery(all), 0u);
+
+  DeltaMsg delta;
+  delta.apkSha256 = "aa";
+  delta.runsFolded = 1;
+  delta.topic = Topic::Totals;
+  mirror.applyDelta(delta);
+  EXPECT_EQ(mirror.runsInEvery(std::array{Topic::Totals}), 1u);
+  EXPECT_EQ(mirror.runsInEvery(all), 0u);
+  delta.topic = Topic::Loss;
+  mirror.applyDelta(delta);
+  EXPECT_EQ(mirror.runsInEvery(std::array{Topic::Totals, Topic::Loss}), 1u);
+  EXPECT_EQ(mirror.runsInEvery(all), 0u);
+  delta.topic = Topic::Progress;
+  mirror.applyDelta(delta);
+  EXPECT_EQ(mirror.runsInEvery(all), 1u);
+
+  // A Totals snapshot (a resync) carries no progress counters and must not
+  // reset the Progress view.
+  SnapshotMsg resync;
+  resync.topic = Topic::Totals;
+  resync.totals.runsFolded = 1;
+  mirror.applySnapshot(resync);
+  EXPECT_EQ(mirror.runsFolded, 1u);
+  EXPECT_EQ(mirror.runsInEvery(all), 1u);
+
+  // A late Loss snapshot is credited with the runs already seen, and with
+  // at least one run per account.
+  SnapshotMsg loss;
+  loss.topic = Topic::Loss;
+  loss.accounts = {{"aa", {}}, {"bb", {}}};
+  mirror.applySnapshot(loss);
+  EXPECT_EQ(mirror.viewRuns[static_cast<std::size_t>(Topic::Loss)], 2u);
 }
 
 TEST_F(SpectordDaemonTest, SlowSubscriberIsBoundedAndResyncsWithoutStallingIngest) {

@@ -131,17 +131,6 @@ TEST(PrefetchTest, HashesApksDuringExpansion) {
   }
 }
 
-TEST(PrefetchTest, HashingCanBeDisabled) {
-  const AppStoreGenerator generator(smallConfig(4));
-  PrefetchConfig config;
-  config.threads = 2;
-  config.hashApks = false;
-  JobPrefetcher prefetcher(generator, config);
-  while (auto item = prefetcher.next()) {
-    EXPECT_TRUE(item->apkSha256.empty());
-  }
-}
-
 TEST(PrefetchTest, PullThroughModeMatchesThreadedDelivery) {
   // threads = 0 is the serial baseline: same items, same order, no pool.
   const AppStoreGenerator generator(smallConfig(12));
