@@ -41,12 +41,10 @@ struct RequestWorld {
     program.uiHandlers.push_back(handler);
 
     dex::DexFile dexFile;
-    dex::ClassDef cls;
-    cls.dottedName = "x";
-    for (const auto& method : program.methods)
-      cls.methods.push_back({method.signature});
-    dexFile.classes.push_back(cls);
-    apk.dexFiles.push_back(dexFile);
+    dexFile.addClass("x");
+    for (rt::MethodId id = 0; id < program.methodCount(); ++id)
+      dexFile.addMethod(program.signature(id));
+    apk.dexFiles.push_back(std::move(dexFile));
   }
 
   net::ServerFarm farm;

@@ -8,22 +8,75 @@
 //     the seed path (materialize serialize(), then hash the buffer).
 //
 // The headline comparison drains a fixed corpus through the prefetcher at
-// 0 (serial), 2, 4 and hardware-thread generators, prints apps/sec per
-// configuration, and writes BENCH_store.json so the perf trajectory is
-// machine-readable. Scaling is flat on 1-core CI boxes; the >=3x pipeline
-// criterion applies on multi-core hardware. The google-benchmark
-// microbenchmarks after it isolate the hash path.
+// 0 (serial), 1, 2, 4 and hardware-thread generators, prints apps/sec per
+// configuration, counts the heap allocations of one makeJob and of one
+// job's destruction (a global operator new/delete hook), and writes
+// BENCH_store.json so the perf trajectory is machine-readable. Scaling is
+// flat on 1-core CI boxes; the >=3x pipeline criterion applies on
+// multi-core hardware. The google-benchmark microbenchmarks after it
+// isolate the hash path, job expansion and job destruction.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "store/prefetch.hpp"
 #include "util/sha256.hpp"
+
+// Global allocation and free counters: every operator new and delete in
+// the process ticks them.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_frees{0};
+
+void* countedAlloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void* countedAlignedAlloc(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  const std::size_t rounded = ((size == 0 ? 1 : size) + a - 1) & ~(a - 1);
+  if (void* p = std::aligned_alloc(a, rounded)) return p;
+  throw std::bad_alloc();
+}
+
+void countedFree(void* p) noexcept {
+  if (p != nullptr) g_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return countedAlloc(size); }
+void* operator new[](std::size_t size) { return countedAlloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return countedAlignedAlloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return countedAlignedAlloc(size, align);
+}
+void operator delete(void* p) noexcept { countedFree(p); }
+void operator delete[](void* p) noexcept { countedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { countedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { countedFree(p); }
+void operator delete(void* p, std::align_val_t) noexcept { countedFree(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { countedFree(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  countedFree(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  countedFree(p);
+}
 
 namespace {
 
@@ -70,10 +123,33 @@ DrainResult drainCorpus(std::size_t threads) {
   return result;
 }
 
+struct JobHeapCost {
+  double allocationsPerApp = 0;
+  double freesPerApp = 0;
+};
+
+/// Heap allocations of makeJob and frees of the job's destruction, averaged
+/// over the corpus, on one thread.
+JobHeapCost measureJobHeapCost() {
+  std::uint64_t allocations = 0;
+  std::uint64_t frees = 0;
+  for (std::size_t i = 0; i < kApps; ++i) {
+    std::optional<store::AppStoreGenerator::Job> job;
+    const std::uint64_t allocatedBefore = g_allocations.load();
+    job.emplace(benchGenerator().makeJob(i));
+    allocations += g_allocations.load() - allocatedBefore;
+    const std::uint64_t freedBefore = g_frees.load();
+    job.reset();
+    frees += g_frees.load() - freedBefore;
+  }
+  return {static_cast<double>(allocations) / kApps,
+          static_cast<double>(frees) / kApps};
+}
+
 void runHeadlineComparison() {
   const std::size_t hardware =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  std::vector<std::size_t> threadCounts{0, 2, 4};
+  std::vector<std::size_t> threadCounts{0, 1, 2, 4};
   if (std::find(threadCounts.begin(), threadCounts.end(), hardware) ==
       threadCounts.end())
     threadCounts.push_back(hardware);
@@ -95,7 +171,10 @@ void runHeadlineComparison() {
         threads == 0 ? "" :
             (" -- " + std::to_string(rate / serialRate) + "x").c_str());
   }
-  std::printf("\n");
+  const JobHeapCost heap = measureJobHeapCost();
+  std::printf("heap: %.1f allocations per makeJob, %.1f frees per job "
+              "destroyed\n\n",
+              heap.allocationsPerApp, heap.freesPerApp);
 
   if (std::FILE* json = std::fopen("BENCH_store.json", "w")) {
     std::fprintf(json, "{\n  \"apps\": %zu,\n  \"hardware_threads\": %zu,\n",
@@ -103,6 +182,11 @@ void runHeadlineComparison() {
     // Flat headline for scripts/check_bench_floor.py: expand + hash on one
     // thread, the work a study's single generator thread does per app.
     std::fprintf(json, "  \"serial_apps_per_sec\": %.2f,\n", serialRate);
+    // Recorded, not gated.
+    std::fprintf(json, "  \"make_job_allocs_per_app\": %.1f,\n",
+                 heap.allocationsPerApp);
+    std::fprintf(json, "  \"destroy_job_frees_per_app\": %.1f,\n",
+                 heap.freesPerApp);
     std::fprintf(json, "  \"configurations\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
       const double rate = static_cast<double>(kApps) / results[i].seconds;
@@ -164,6 +248,20 @@ void BM_MakeJob(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
 }
 BENCHMARK(BM_MakeJob)->Unit(benchmark::kMicrosecond);
+
+void BM_DestroyJob(benchmark::State& state) {
+  // Destruction alone: what an emulator worker pays to free a job it did
+  // not make.
+  std::size_t i = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const auto job = benchGenerator().makeJob(i++ % kApps);
+    benchmark::DoNotOptimize(job.apk.dexFiles.data());
+    state.ResumeTiming();
+  }  // `job` is destroyed here, inside the timed region
+  state.SetItemsProcessed(static_cast<std::int64_t>(i));
+}
+BENCHMARK(BM_DestroyJob)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -58,6 +58,12 @@ class MethodMonitor {
     return tracer_.traceFile();
   }
 
+  /// writeTraceFile() at the end of a run, moving the entries out instead
+  /// of copying them; the monitor's trace is empty afterwards.
+  [[nodiscard]] std::vector<std::string> takeTraceFile() noexcept {
+    return tracer_.takeTraceFile();
+  }
+
   /// Request boundaries in observation order (empty unless the keep-alive
   /// scenario reused connections during the run).
   [[nodiscard]] const std::vector<RequestBoundary>& requestBoundaries()
@@ -66,7 +72,10 @@ class MethodMonitor {
   }
 
   /// Coverage of `apk` given a trace file (§IV-C methodology: intersect the
-  /// trace with the dex method set, divide by dex method count).
+  /// trace with the dex method set, divide by dex method count). The
+  /// intersection indexes the trace's entries as views in one flat
+  /// open-addressing table (one allocation) and probes it with every dex
+  /// signature; no signature is copied.
   [[nodiscard]] static CoverageResult computeCoverage(
       const std::vector<std::string>& traceFile, const dex::ApkFile& apk);
 

@@ -1,6 +1,7 @@
 #include "dex/apk.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/bytes.hpp"
 
@@ -28,20 +29,87 @@ void writeApk(const ApkFile& apk, Writer& w) {
   for (const auto& abi : apk.abis) w.str(abi);
   w.u32(static_cast<std::uint32_t>(apk.dexFiles.size()));
   for (const auto& dex : apk.dexFiles) {
-    w.u32(static_cast<std::uint32_t>(dex.classes.size()));
-    for (const auto& cls : dex.classes) {
-      w.str(cls.dottedName);
-      w.u32(static_cast<std::uint32_t>(cls.methods.size()));
-      for (const auto& m : cls.methods) w.str(m.signature);
+    w.u32(static_cast<std::uint32_t>(dex.classCount()));
+    for (std::size_t cls = 0; cls < dex.classCount(); ++cls) {
+      w.str(dex.className(cls));
+      const MethodRange methods = dex.classMethods(cls);
+      w.u32(static_cast<std::uint32_t>(methods.size()));
+      for (std::size_t m = methods.begin; m < methods.end; ++m)
+        w.str(dex.signature(m));
     }
   }
 }
+
+std::string_view readStr(util::ByteReader& r) {
+  const auto bytes = r.view(r.u32());
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+/// One dex section: sized by a scan over a copy of the reader, then read
+/// into an exactly reserved DexFile.
+DexFile readDex(util::ByteReader& r) {
+  util::ByteReader scan = r;
+  const std::uint32_t classCount = scan.countCheck(scan.u32(), 8);
+  std::size_t methodCount = 0;
+  std::size_t chars = 0;
+  for (std::uint32_t c = 0; c < classCount; ++c) {
+    chars += readStr(scan).size();
+    const std::uint32_t methods = scan.countCheck(scan.u32(), 4);
+    methodCount += methods;
+    for (std::uint32_t m = 0; m < methods; ++m) chars += readStr(scan).size();
+  }
+
+  DexFile dex;
+  dex.reserve(classCount, methodCount, chars);
+  (void)r.u32();  // the class count, already checked by the scan
+  for (std::uint32_t c = 0; c < classCount; ++c) {
+    dex.addClass(readStr(r));
+    const std::uint32_t methods = r.u32();
+    for (std::uint32_t m = 0; m < methods; ++m) dex.addMethod(readStr(r));
+  }
+  return dex;
+}
 }  // namespace
 
-std::size_t DexFile::methodCount() const noexcept {
-  std::size_t n = 0;
-  for (const auto& cls : classes) n += cls.methods.size();
-  return n;
+void DexFile::addClass(std::string_view dottedName,
+                       std::initializer_list<std::string_view> signatures) {
+  classes_.push_back(
+      {chars_.append(dottedName), static_cast<std::uint32_t>(methods_.size())});
+  for (const std::string_view signature : signatures) addMethod(signature);
+}
+
+void DexFile::addMethod(std::string_view signature) {
+  if (classes_.empty())
+    throw std::logic_error("DexFile::addMethod: no class to add to");
+  if (methods_.size() == UINT32_MAX)
+    throw std::length_error("DexFile: too many methods");
+  methods_.push_back(chars_.append(signature));
+}
+
+void DexFile::reserve(std::size_t classes, std::size_t methods,
+                      std::size_t chars) {
+  classes_.reserve(classes);
+  methods_.reserve(methods);
+  chars_.reserve(chars);
+}
+
+MethodRange DexFile::classMethods(std::size_t cls) const {
+  return {classes_.at(cls).firstMethod,
+          cls + 1 < classes_.size() ? classes_[cls + 1].firstMethod
+                                    : methods_.size()};
+}
+
+bool DexFile::operator==(const DexFile& other) const {
+  if (classes_.size() != other.classes_.size() ||
+      methods_.size() != other.methods_.size())
+    return false;
+  for (std::size_t c = 0; c < classes_.size(); ++c)
+    if (classes_[c].firstMethod != other.classes_[c].firstMethod ||
+        className(c) != other.className(c))
+      return false;
+  for (std::size_t m = 0; m < methods_.size(); ++m)
+    if (signature(m) != other.signature(m)) return false;
+  return true;
 }
 
 std::size_t ApkFile::totalMethodCount() const noexcept {
@@ -78,21 +146,7 @@ ApkFile ApkFile::deserialize(std::span<const std::uint8_t> bytes) {
   for (std::uint32_t i = 0; i < abiCount; ++i) apk.abis.push_back(r.str());
   const std::uint32_t dexCount = r.countCheck(r.u32(), 4);
   apk.dexFiles.reserve(dexCount);
-  for (std::uint32_t i = 0; i < dexCount; ++i) {
-    DexFile dex;
-    const std::uint32_t classCount = r.countCheck(r.u32(), 8);
-    dex.classes.reserve(classCount);
-    for (std::uint32_t c = 0; c < classCount; ++c) {
-      ClassDef cls;
-      cls.dottedName = r.str();
-      const std::uint32_t methodCount = r.countCheck(r.u32(), 4);
-      cls.methods.reserve(methodCount);
-      for (std::uint32_t m = 0; m < methodCount; ++m)
-        cls.methods.push_back({r.str()});
-      dex.classes.push_back(std::move(cls));
-    }
-    apk.dexFiles.push_back(std::move(dex));
-  }
+  for (std::uint32_t i = 0; i < dexCount; ++i) apk.dexFiles.push_back(readDex(r));
   if (!r.atEnd()) throw util::DecodeError("ApkFile: trailing bytes");
   return apk;
 }

@@ -76,35 +76,28 @@ std::size_t rangeOf(const std::vector<std::uint32_t>& starts,
 
 }  // namespace
 
-std::vector<std::string> allMethodSignatures(const ApkFile& apk) {
-  std::vector<std::string> out;
+std::vector<std::string_view> allMethodSignatures(const ApkFile& apk) {
+  std::vector<std::string_view> out;
   out.reserve(apk.totalMethodCount());
   for (const auto& dex : apk.dexFiles)
-    for (const auto& cls : dex.classes)
-      for (const auto& m : cls.methods) out.push_back(m.signature);
+    for (std::size_t m = 0; m < dex.methodCount(); ++m)
+      out.push_back(dex.signature(m));
   return out;
 }
 
 FrameTranslationTable::FrameTranslationTable(const ApkFile& apk) {
-  std::size_t classes = 0;
-  for (const auto& dex : apk.dexFiles) classes += dex.classes.size();
   hashes_.reserve(apk.totalMethodCount());
   ordinals_.reserve(apk.totalMethodCount());
-  classBegin_.reserve(classes);
   dexBegin_.reserve(apk.dexFiles.size());
   std::uint32_t ordinal = 0;
   for (const auto& dex : apk.dexFiles) {
-    dexBegin_.push_back(static_cast<std::uint32_t>(classBegin_.size()));
-    for (const auto& cls : dex.classes) {
-      classBegin_.push_back(ordinal);
-      for (const auto& method : cls.methods) {
-        const auto signature = parseSignatureView(method.signature);
-        // Tolerate malformed entries like real dex tools.
-        if (signature) {
-          hashes_.push_back(hashSignatureFrame(*signature));
-          ordinals_.push_back(ordinal);
-        }
-        ++ordinal;
+    dexBegin_.push_back(ordinal);
+    for (std::size_t m = 0; m < dex.methodCount(); ++m, ++ordinal) {
+      const auto signature = parseSignatureView(dex.signature(m));
+      // Tolerate malformed entries like real dex tools.
+      if (signature) {
+        hashes_.push_back(hashSignatureFrame(*signature));
+        ordinals_.push_back(ordinal);
       }
     }
   }
@@ -127,13 +120,9 @@ void FrameTranslationTable::forEachOverload(std::string_view frameName,
   for (auto i = static_cast<std::size_t>(first - hashes_.begin());
        i < hashes_.size() && hashes_[i] == hash; ++i) {
     const std::uint32_t ordinal = ordinals_[i];
-    const std::size_t cls = rangeOf(classBegin_, ordinal);
-    const std::size_t dex = rangeOf(dexBegin_, static_cast<std::uint32_t>(cls));
-    const std::string& signature =
-        apk.dexFiles[dex]
-            .classes[cls - dexBegin_[dex]]
-            .methods[ordinal - classBegin_[cls]]
-            .signature;
+    const std::size_t dex = rangeOf(dexBegin_, ordinal);
+    const std::string_view signature =
+        apk.dexFiles[dex].signature(ordinal - dexBegin_[dex]);
     const auto parts = parseSignatureView(signature);
     if (parts && isFrameOf(frameName, *parts) && !visit(signature)) return;
   }

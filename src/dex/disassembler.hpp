@@ -19,8 +19,11 @@
 
 namespace libspector::dex {
 
-/// All method type signatures in the apk, in dex order.
-[[nodiscard]] std::vector<std::string> allMethodSignatures(const ApkFile& apk);
+/// All method type signatures in the apk, in dex order, as views into its
+/// dex files' arenas (valid while `apk` lives unmodified).
+[[nodiscard]] std::vector<std::string_view> allMethodSignatures(
+    const ApkFile& apk);
+std::vector<std::string_view> allMethodSignatures(ApkFile&&) = delete;
 
 /// Index from frame name ("com.foo.Bar.baz") to the type signatures of its
 /// overloads, as a Java stack frame does not carry parameter types.
@@ -28,8 +31,8 @@ namespace libspector::dex {
 /// The table owns no strings. For each method with a well-formed signature
 /// it holds a 32-bit hash of the method's dotted frame name and the
 /// method's position in the apk (its ordinal in dex order), 8 bytes sorted
-/// by (hash, dex order), plus 4 bytes per class to map an ordinal back to
-/// its class. A lookup binary-searches the hash and re-derives every
+/// by (hash, dex order), plus 4 bytes per dex file to map an ordinal back
+/// to its dex file. A lookup binary-searches the hash and re-derives every
 /// candidate's frame name from the apk's own signature, so a hash collision
 /// can never return another method's signature. Lookups therefore take the
 /// apk: one with the same layout (the same bytes) as the apk the table was
@@ -69,9 +72,7 @@ class FrameTranslationTable {
   // mmapped block raises that threshold for the rest of the process).
   std::vector<std::uint32_t> hashes_;     // sorted
   std::vector<std::uint32_t> ordinals_;   // method ordinal behind hashes_[i]
-  /// Ordinal of each class's first method, classes in dex order.
-  std::vector<std::uint32_t> classBegin_;
-  /// Index of each dex file's first class in classBegin_.
+  /// Ordinal of each dex file's first method.
   std::vector<std::uint32_t> dexBegin_;
 };
 

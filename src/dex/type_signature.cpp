@@ -119,12 +119,15 @@ std::optional<SignatureView> parseSignatureView(std::string_view smali) noexcept
 }
 
 std::string SignatureView::frameName() const {
-  std::string out;
-  out.reserve(slashedClass.size() + 1 + methodName.size());
-  for (const char c : slashedClass) out += c == '/' ? '.' : c;
-  out += '.';
-  out += methodName;
+  std::string out(frameNameSize(), '\0');
+  writeFrameName(out.data());
   return out;
+}
+
+void SignatureView::writeFrameName(char* out) const noexcept {
+  for (const char c : slashedClass) *out++ = c == '/' ? '.' : c;
+  *out++ = '.';
+  methodName.copy(out, methodName.size());
 }
 
 TypeSignature::TypeSignature(std::string dottedClass, std::string methodName,

@@ -67,6 +67,13 @@ struct SignatureView {
   /// "com.unity3d.ads.android.cache.b.doInBackground", built in one
   /// allocation; equal to TypeSignature::frameName() of the same input.
   [[nodiscard]] std::string frameName() const;
+  /// Length of frameName().
+  [[nodiscard]] std::size_t frameNameSize() const noexcept {
+    return slashedClass.size() + 1 + methodName.size();
+  }
+  /// Writes frameName()'s frameNameSize() characters to `out`, so a caller
+  /// with its own buffer (a string arena) builds it with no temporary.
+  void writeFrameName(char* out) const noexcept;
 };
 
 /// Parse `smali` into a SignatureView; std::nullopt on malformed input

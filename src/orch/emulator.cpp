@@ -86,7 +86,7 @@ core::RunArtifacts EmulatorInstance::run(const dex::ApkFile& apk,
   // Sender-side truth, carried on the reliable artifact path: the ingest
   // tier subtracts what actually arrived to get exact per-apk loss.
   artifacts.reportsEmitted = supervisor->reportsSent();
-  artifacts.methodTraceFile = monitor.writeTraceFile();
+  artifacts.methodTraceFile = monitor.takeTraceFile();
   artifacts.coverage =
       core::MethodMonitor::computeCoverage(artifacts.methodTraceFile, apk);
   artifacts.monkeyEventsInjected = monkeyStats.eventsInjected;

@@ -79,11 +79,11 @@ std::vector<StackFrameSnapshot> Interpreter::getStackTrace() const {
 
 void Interpreter::runMethod(MethodId id, int depth) {
   if (depth >= limits_.maxCallDepth) return;  // Java would StackOverflowError
-  const MethodInfo& method = program_.method(id);
-  liveStack_.push_back({method.frameName, static_cast<std::int32_t>(id)});
+  const std::vector<Action>& body = program_.body(id);
+  liveStack_.push_back({program_.frameName(id), static_cast<std::int32_t>(id)});
   ++methodEntries_;
-  tracer_.onMethodEntry(method.signature);
-  for (const Action& action : method.body) {
+  tracer_.onMethodEntry(program_.signature(id));
+  for (const Action& action : body) {
     if (++actionsThisEntry_ > limits_.maxActionsPerEntry) break;
     execAction(action, depth);
   }
@@ -126,7 +126,7 @@ void Interpreter::pushFrameworkFrame(std::string_view name) {
 void Interpreter::firePostHooks(std::string_view frameName,
                                 net::SocketId socketId,
                                 std::uint32_t requestOrdinal) {
-  const auto it = postHooks_.find(std::string(frameName));
+  const auto it = postHooks_.find(frameName);
   if (it == postHooks_.end()) return;
   const SocketHookContext context{socketId, *this, requestOrdinal};
   for (const PostHook& hook : it->second) hook(context);

@@ -154,8 +154,19 @@ class Interpreter {
   InterpreterLimits limits_;
   ScenarioConfig scenario_;
 
+  /// Hashes a std::string and a std::string_view alike, so postHooks_ is
+  /// searched by a frame-name view without building a string.
+  struct FrameNameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<LiveFrame> liveStack_;
-  std::unordered_map<std::string, std::vector<PostHook>> postHooks_;
+  std::unordered_map<std::string, std::vector<PostHook>, FrameNameHash,
+                     std::equal_to<>>
+      postHooks_;
   std::vector<PreConnectHook> preConnectHooks_;
   std::deque<MethodId> asyncQueue_;
   std::deque<SystemRequestAction> systemQueue_;

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 namespace libspector::rt {
@@ -58,18 +57,30 @@ class RingBufferTracer final : public MethodTracer {
 };
 
 /// The paper's modification: one record per unique method, never drops.
+///
+/// Each unique entry is stored once, in first-invocation order; the
+/// dedupe index is a flat open-addressing table of positions in that list
+/// (no string of its own, no node per entry).
 class UniqueMethodTracer final : public MethodTracer {
  public:
   void onMethodEntry(std::string_view signature) override;
   [[nodiscard]] std::vector<std::string> traceFile() const override;
   [[nodiscard]] std::size_t droppedCount() const noexcept override { return 0; }
 
-  [[nodiscard]] std::size_t uniqueCount() const noexcept { return seen_.size(); }
+  /// The trace file, moved out instead of copied; the tracer is left empty
+  /// (no unique entries) for whatever it records next.
+  [[nodiscard]] std::vector<std::string> takeTraceFile() noexcept;
+
+  [[nodiscard]] std::size_t uniqueCount() const noexcept { return order_.size(); }
   [[nodiscard]] std::size_t totalEntries() const noexcept { return totalEntries_; }
 
  private:
-  std::unordered_set<std::string> seen_;
+  void growIndex();
+
   std::vector<std::string> order_;  // first-invocation order
+  /// Open addressing, linear probing, power-of-two size, at most half
+  /// full: 0 is a free slot, p names order_[p - 1].
+  std::vector<std::uint32_t> index_;
   std::size_t totalEntries_ = 0;
 };
 

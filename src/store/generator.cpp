@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <memory_resource>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -15,26 +15,24 @@ namespace {
 constexpr double kAntFreeFraction = 0.10;
 constexpr double kAntOnlyFraction = 0.34;
 
-/// Smali signature builder: sized once, the class slashed as it is copied.
-std::string makeSignature(std::string_view dottedClass, std::string_view method,
-                          std::string_view params = "", std::string_view ret = "V") {
-  std::string out(1 + dottedClass.size() + 3 + method.size() + 1 +
-                      params.size() + 1 + ret.size(),
-                  '\0');
-  char* next = out.data();
-  const auto put = [&next](std::string_view part) {
-    std::memcpy(next, part.data(), part.size());
-    next += part.size();
-  };
-  *next++ = 'L';
-  for (const char c : dottedClass) *next++ = c == '.' ? '/' : c;
-  put(";->");
-  put(method);
-  *next++ = '(';
-  put(params);
-  *next++ = ')';
-  put(ret);
-  return out;
+/// Appends "L<class with '/'>;->" to `out`.
+void appendClassPart(std::string& out, std::string_view dottedClass) {
+  out += 'L';
+  for (const char c : dottedClass) out += c == '.' ? '/' : c;
+  out += ";->";
+}
+
+/// Appends the smali signature "L<class with '/'>;-><method>(<params>)<ret>"
+/// to `out`.
+void appendSignature(std::string& out, std::string_view dottedClass,
+                     std::string_view method, std::string_view params = "",
+                     std::string_view ret = "V") {
+  appendClassPart(out, dottedClass);
+  out += method;
+  out += '(';
+  out += params;
+  out += ')';
+  out += ret;
 }
 
 std::string sanitizeSlug(std::string_view prefix) {
@@ -49,17 +47,130 @@ std::string sanitizeSlug(std::string_view prefix) {
   return out;
 }
 
-std::string_view drawCategory(
-    const std::vector<std::pair<std::string_view, double>>& mix,
-    util::Rng& rng) {
-  // Mixes are byte shares (Fig. 9); requests are drawn deflated by each
-  // category's mean response size so byte totals land on the mix.
-  const auto weights = requestWeightsFromByteMix(mix);
-  return mix[rng.weightedIndex(weights)].first;
-}
-
 bool isAntCategory(std::string_view radarCategory) {
   return radarCategory == "Advertisement" || radarCategory == "Mobile Analytics";
+}
+
+/// A bulk (cold) library class of `methods` methods "m<i>(I)I", its name
+/// at [nameOffset, nameOffset + nameSize) of a names buffer.
+struct BulkClass {
+  std::size_t nameOffset = 0;
+  std::size_t nameSize = 0;
+  std::uint32_t methods = 0;
+};
+
+/// The dex files of an app: every program method, then the bulk classes,
+/// grouped into classes and split at the 64k method-reference limit. The
+/// signatures are written straight into each dex file's string table.
+std::vector<dex::DexFile> layOutDex(const rt::AppProgram& program,
+                                    std::string_view bulkNames,
+                                    const std::vector<BulkClass>& bulkClasses) {
+  // Group methods into classes. The map's iteration order *is* the dex
+  // class order, so it is part of the apk bytes and of every apk's sha256:
+  // insert in the same sequence (program methods in id order, then the
+  // bulk classes), and never reserve, rehash or replace the map
+  // (tests/store/apk_digest_golden_test pins the result). Keys are views
+  // (std::hash<string_view> equals std::hash<string>, so the order is the
+  // one a std::string-keyed map gives), and the nodes come from one
+  // monotonic buffer (the allocator does not touch the order). A program
+  // method's class is its frame name minus ".<method>": generated class
+  // names hold no '/' and method names no '.'.
+  struct ClassInfo {
+    std::uint32_t methods = 0;
+    std::uint32_t first = 0;  // into `grouped`
+  };
+  std::vector<ClassInfo> classes;
+  classes.reserve(program.methodCount() + bulkClasses.size());
+  std::pmr::monotonic_buffer_resource classNodes;
+  std::pmr::unordered_map<std::string_view, std::uint32_t> byClass(&classNodes);
+  // (class, method) in insertion order; a method is a program method id,
+  // or kBulk | i for the bulk method "m<i>".
+  constexpr std::uint32_t kBulk = 0x8000'0000u;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> entries;
+  entries.reserve(program.methodCount() + 16 * bulkClasses.size());
+  const auto classOf = [&](std::string_view name) {
+    const auto [it, inserted] = byClass.try_emplace(
+        name, static_cast<std::uint32_t>(classes.size()));
+    if (inserted) classes.emplace_back();
+    return it->second;
+  };
+  for (rt::MethodId id = 0; id < program.methodCount(); ++id) {
+    const std::string_view frame = program.frameName(id);
+    const std::uint32_t cls = classOf(frame.substr(0, frame.rfind('.')));
+    entries.emplace_back(cls, id);
+    ++classes[cls].methods;
+  }
+  for (const BulkClass& bulk : bulkClasses) {
+    const std::uint32_t cls =
+        classOf(bulkNames.substr(bulk.nameOffset, bulk.nameSize));
+    for (std::uint32_t m = 0; m < bulk.methods; ++m)
+      entries.emplace_back(cls, kBulk | m);
+    classes[cls].methods += bulk.methods;
+  }
+  // Stable counting sort of the entries by class: each class's methods in
+  // insertion order, as the per-class lists of the dex format need them.
+  std::vector<std::uint32_t> fill(classes.size());
+  for (std::uint32_t c = 0, next = 0; c < classes.size(); ++c) {
+    classes[c].first = fill[c] = next;
+    next += classes[c].methods;
+  }
+  std::vector<std::uint32_t> grouped(entries.size());
+  for (const auto& [cls, method] : entries) grouped[fill[cls]++] = method;
+
+  // Multi-dex: respect the 64k method-reference limit per dex file. One
+  // pass sizes every dex file, so each string table is reserved exactly;
+  // the next writes the classes and signatures.
+  constexpr std::size_t kDexMethodLimit = 65536;
+  struct DexSize {
+    std::size_t classes = 0;
+    std::size_t methods = 0;
+    std::size_t chars = 0;
+  };
+  std::vector<DexSize> sizes(1);
+  for (const auto& [name, c] : byClass) {
+    const ClassInfo& cls = classes[c];
+    if (sizes.back().methods + cls.methods > kDexMethodLimit)
+      sizes.emplace_back();
+    DexSize& size = sizes.back();
+    ++size.classes;
+    size.methods += cls.methods;
+    size.chars += name.size();
+    for (std::uint32_t i = cls.first; i < cls.first + cls.methods; ++i) {
+      const std::uint32_t m = grouped[i] & ~kBulk;
+      // "L" + class + ";->m" + digits + "(I)I" for a bulk method.
+      size.chars += grouped[i] & kBulk
+                        ? name.size() + 9 + std::to_string(m).size()
+                        : program.signature(m).size();
+    }
+  }
+  std::vector<dex::DexFile> dexFiles(sizes.size());
+  for (std::size_t d = 0; d < sizes.size(); ++d)
+    dexFiles[d].reserve(sizes[d].classes, sizes[d].methods, sizes[d].chars);
+  std::size_t d = 0;
+  std::string bulkSignature;
+  for (const auto& [name, c] : byClass) {
+    const ClassInfo& cls = classes[c];
+    while (dexFiles[d].classCount() == sizes[d].classes) ++d;
+    dexFiles[d].addClass(name);
+    std::size_t bulkHead = 0;  // size of "L<class>;->m", once built
+    for (std::uint32_t i = cls.first; i < cls.first + cls.methods; ++i) {
+      const std::uint32_t m = grouped[i] & ~kBulk;
+      if (!(grouped[i] & kBulk)) {
+        dexFiles[d].addMethod(program.signature(m));
+        continue;
+      }
+      if (bulkHead == 0) {
+        bulkSignature.clear();
+        appendClassPart(bulkSignature, name);
+        bulkSignature += 'm';
+        bulkHead = bulkSignature.size();
+      }
+      bulkSignature.resize(bulkHead);
+      bulkSignature.append(std::to_string(m)).append("(I)I");
+      dexFiles[d].addMethod(bulkSignature);
+    }
+  }
+  return dexFiles;
 }
 
 }  // namespace
@@ -431,16 +542,18 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
   const auto& profiles = libraryProfiles();
 
   rt::AppProgram program;
-  // All program-method signatures also go into the dex, grouped by class.
-  std::vector<std::pair<std::string, std::string>> dexEntries;  // (class, sig)
-  const auto addProgramMethod = [&](const std::string& dottedClass,
-                                    const std::string& method,
+  // Every program method also goes into the dex (layOutDex).
+  // Signatures are built in one reused buffer and copied into the
+  // program's string arena.
+  std::string signature;
+  const auto addProgramMethod = [&](std::string_view dottedClass,
+                                    std::string_view method,
                                     std::vector<rt::Action> body,
                                     std::string_view params = "",
                                     std::string_view ret = "V") {
-    std::string signature = makeSignature(dottedClass, method, params, ret);
-    dexEntries.emplace_back(dottedClass, signature);
-    return program.addMethod(std::move(signature), std::move(body));
+    signature.clear();
+    appendSignature(signature, dottedClass, method, params, ret);
+    return program.addMethod(signature, std::move(body));
   };
 
   // --- Traffic sources: helper -> task -> enqueue chains -------------------
@@ -576,6 +689,7 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
   }
 
   // --- Coverage subtrees -----------------------------------------------------
+  std::string cls;  // class names of hubs, chain links and handlers, reused
   const auto buildSubtree = [&](const std::string& packageBase, int treeId,
                                 std::size_t size) -> std::optional<rt::MethodId> {
     if (size == 0) return std::nullopt;
@@ -586,10 +700,11 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
     std::size_t made = 0;
     int hubIndex = 0;
     while (made < size) {
-      const std::string cls =
-          packageBase + ".T" + std::to_string(treeId) + "H" + std::to_string(hubIndex);
+      cls.assign(packageBase).append(".T").append(std::to_string(treeId));
+      cls.append("H").append(std::to_string(hubIndex));
       std::vector<rt::Action> body;
       const std::size_t leaves = std::min(kLeavesPerHub, size - made);
+      body.reserve(leaves);
       for (std::size_t l = 0; l < leaves; ++l) {
         const rt::MethodId leaf =
             addProgramMethod(cls, "w" + std::to_string(l), {}, "I", "I");
@@ -608,8 +723,8 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
     // chain wrappers instead.
     rt::MethodId next = hubs.back();
     for (std::size_t i = hubs.size() - 1; i-- > 0;) {
-      const std::string cls = packageBase + ".T" + std::to_string(treeId) + "C" +
-                              std::to_string(i);
+      cls.assign(packageBase).append(".T").append(std::to_string(treeId));
+      cls.append("C").append(std::to_string(i));
       next = addProgramMethod(
           cls, "step", {rt::CallAction{hubs[i]}, rt::CallAction{next}});
     }
@@ -704,7 +819,7 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
     request.requestBytesMin = 120;
     request.requestBytesMax = 420;
     request.transfers = 1;
-    const std::string cls = plan.packageName + ".sync.Poller";
+    cls.assign(plan.packageName).append(".sync.Poller");
     const rt::MethodId fetch = addProgramMethod(cls, "fetch", {request});
     const rt::MethodId poll = addProgramMethod(
         cls, "run", {rt::GuardAction{plan.syncProb, fetch}});
@@ -724,6 +839,7 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
   handlers.reserve(handlerCount);
   for (std::size_t h = 0; h < handlerCount; ++h) {
     std::vector<rt::Action> body;
+    body.reserve(2 + handlerGuards[h].size());
     const std::string& base = subtreePackages[h % subtreePackages.size()];
     if (const auto subtree =
             buildSubtree(base, static_cast<int>(h), perHandler))
@@ -731,9 +847,8 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
     for (const auto& guard : handlerGuards[h])
       body.push_back(rt::GuardAction{guard.prob, guard.target});
     body.push_back(rt::SleepAction{static_cast<std::uint32_t>(rng.uniform(0, 3))});
-    handlers.push_back(addProgramMethod(plan.packageName + ".ui.Handler" +
-                                            std::to_string(h),
-                                        "onClick", std::move(body),
+    cls.assign(plan.packageName).append(".ui.Handler").append(std::to_string(h));
+    handlers.push_back(addProgramMethod(cls, "onClick", std::move(body),
                                         "Landroid/view/View;"));
   }
 
@@ -765,38 +880,23 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
   apk.vtScanDate = version.vtScanDate;
   apk.abis = version.abis;
 
-  // Group program methods into classes. The map's iteration order *is* the
-  // dex class order, so it is part of the apk bytes and of every apk's
-  // sha256: insert in the same sequence, and never reserve, rehash or
-  // replace the map (tests/store/apk_digest_golden_test pins the result).
-  std::unordered_map<std::string, std::vector<std::string>> byClass;
-  for (auto& [cls, signature] : dexEntries)
-    byClass[cls].push_back(std::move(signature));
-  std::size_t methodCount = program.methods.size();
-
-  // Bulk (cold) library code.
-  const auto addBulk = [&](const std::string& package, std::size_t count) {
-    std::size_t made = 0;
-    int classIndex = 0;
-    while (made < count) {
-      const std::string cls = package + ".a" + std::to_string(classIndex++);
-      auto& methods = byClass[cls];
+  // Bulk (cold) library code: classes "<package>.a<N>" of up to 16
+  // methods each; their names are staged in one buffer.
+  std::vector<BulkClass> bulkClasses;
+  std::string bulkNames;
+  std::size_t methodCount = program.methodCount();
+  const auto addBulk = [&](std::string_view package, std::size_t count) {
+    for (std::size_t made = 0, classIndex = 0; made < count; ++classIndex) {
+      const std::size_t offset = bulkNames.size();
+      bulkNames.append(package).append(".a").append(
+          std::to_string(classIndex));
       const std::size_t inClass = std::min<std::size_t>(16, count - made);
-      methods.reserve(methods.size() + inClass);
-      // Every method here is "L<class>;->m<N>(I)I": slash the class once.
-      const std::string shape = makeSignature(cls, "m", "I", "I");
-      const std::string_view head(shape.data(), shape.size() - 4);  // "L<class>;->m"
-      for (std::size_t m = 0; m < inClass; ++m) {
-        std::string signature;
-        signature.reserve(shape.size() + 2);
-        signature.append(head).append(std::to_string(m)).append("(I)I");
-        methods.push_back(std::move(signature));
-      }
+      bulkClasses.push_back({offset, bulkNames.size() - offset,
+                             static_cast<std::uint32_t>(inClass)});
       made += inClass;
     }
     methodCount += count;
   };
-
   for (const int profileIndex : plan.bundledProfiles) {
     const LibraryProfile& profile = profiles[static_cast<std::size_t>(profileIndex)];
     const auto bulk = static_cast<std::size_t>(
@@ -806,23 +906,7 @@ AppStoreGenerator::Job AppStoreGenerator::makeJob(std::size_t index) const {
   if (methodCount < plan.totalMethods)
     addBulk(plan.packageName + ".gen", plan.totalMethods - methodCount);
 
-  // Multi-dex: respect the 64k method-reference limit per dex file.
-  constexpr std::size_t kDexMethodLimit = 65536;
-  apk.dexFiles.emplace_back();
-  std::size_t inCurrentDex = 0;
-  for (auto& [cls, methods] : byClass) {
-    if (inCurrentDex + methods.size() > kDexMethodLimit) {
-      apk.dexFiles.emplace_back();
-      inCurrentDex = 0;
-    }
-    dex::ClassDef classDef;
-    classDef.dottedName = cls;
-    classDef.methods.reserve(methods.size());
-    for (auto& signature : methods) classDef.methods.push_back({std::move(signature)});
-    inCurrentDex += classDef.methods.size();
-    apk.dexFiles.back().classes.push_back(std::move(classDef));
-  }
-
+  apk.dexFiles = layOutDex(program, bulkNames, bulkClasses);
   return Job{std::move(apk), std::move(program)};
 }
 

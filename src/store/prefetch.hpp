@@ -31,8 +31,10 @@ struct PrefetchConfig {
   std::size_t threads = 0;
   /// Upper bound on jobs outstanding at once (buffered for the consumer
   /// plus in expansion), so memory stays O(capacity) jobs no matter how
-  /// far the generators could run ahead of a slow consumer.
-  std::size_t capacity = 32;
+  /// far the generators could run ahead of a slow consumer. A generator
+  /// that outruns the emulators fills the whole window, so its size is
+  /// peak memory; 8 keeps the emulator workers fed (DESIGN.md §9).
+  std::size_t capacity = 8;
 };
 
 /// Bounded, order-preserving pool of generator threads over a fixed index

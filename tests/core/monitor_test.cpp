@@ -8,11 +8,9 @@ namespace {
 dex::ApkFile apkWithMethods(const std::vector<std::string>& signatures) {
   dex::ApkFile apk;
   dex::DexFile dexFile;
-  dex::ClassDef cls;
-  cls.dottedName = "x";
-  for (const auto& signature : signatures) cls.methods.push_back({signature});
-  dexFile.classes.push_back(cls);
-  apk.dexFiles.push_back(dexFile);
+  dexFile.addClass("x");
+  for (const auto& signature : signatures) dexFile.addMethod(signature);
+  apk.dexFiles.push_back(std::move(dexFile));
   return apk;
 }
 
@@ -52,6 +50,27 @@ TEST(MonitorTest, OverloadsCountedSeparately) {
   const auto coverage = MethodMonitor::computeCoverage({"La;->m(I)V"}, apk);
   EXPECT_EQ(coverage.coveredMethods, 1u);
   EXPECT_EQ(coverage.totalMethods, 2u);
+}
+
+TEST(MonitorTest, RepeatedEntriesCountAsInASetIntersection) {
+  // Every trace entry found in the dex counts, once per occurrence in the
+  // trace, however often the dex repeats it.
+  const auto apk = apkWithMethods({"La;->m1()V", "La;->m1()V", "La;->m2()V"});
+  const auto coverage = MethodMonitor::computeCoverage(
+      {"La;->m1()V", "La;->m1()V", "java.net.Socket.connect", ""}, apk);
+  EXPECT_EQ(coverage.coveredMethods, 2u);
+  EXPECT_EQ(coverage.totalMethods, 3u);
+  EXPECT_EQ(coverage.traceEntries, 4u);
+}
+
+TEST(MonitorTest, TakeTraceFileMovesTheTraceOut) {
+  MethodMonitor monitor;
+  monitor.tracer().onMethodEntry("La;->m1()V");
+  monitor.tracer().onMethodEntry("La;->m2()V");
+  monitor.tracer().onMethodEntry("La;->m1()V");
+  const auto copied = monitor.writeTraceFile();
+  EXPECT_EQ(monitor.takeTraceFile(), copied);
+  EXPECT_TRUE(monitor.writeTraceFile().empty());
 }
 
 TEST(MonitorTest, MonitorWiresUniqueTracer) {

@@ -38,12 +38,10 @@ class SupervisorTest : public ::testing::Test {
 
     // Dex holds the program methods.
     dex::DexFile dexFile;
-    dex::ClassDef cls;
-    cls.dottedName = "mixed";
-    for (const auto& method : program_.methods)
-      cls.methods.push_back({method.signature});
-    dexFile.classes.push_back(cls);
-    apk_.dexFiles.push_back(dexFile);
+    dexFile.addClass("mixed");
+    for (rt::MethodId id = 0; id < program_.methodCount(); ++id)
+      dexFile.addMethod(program_.signature(id));
+    apk_.dexFiles.push_back(std::move(dexFile));
   }
 
   net::ServerFarm farm_;
@@ -103,10 +101,10 @@ TEST_F(SupervisorTest, AppFramesCarryFullTypeSignatures) {
   const auto& signatures = received[0].stackSignatures;
   // The unity3d helper and task appear as overload-precise signatures.
   EXPECT_NE(std::find(signatures.begin(), signatures.end(),
-                      program_.method(helper_).signature),
+                      program_.signature(helper_)),
             signatures.end());
   EXPECT_NE(std::find(signatures.begin(), signatures.end(),
-                      program_.method(task_).signature),
+                      program_.signature(task_)),
             signatures.end());
 }
 
@@ -116,11 +114,11 @@ TEST_F(SupervisorTest, TranslateFramePrefersMethodIdThenTable) {
   const rt::StackFrameSnapshot appFrame{
       "com.unity3d.ads.android.cache.b.a", static_cast<std::int32_t>(helper_)};
   EXPECT_EQ(translateFrame(appFrame, program_, table, apk_),
-            program_.method(helper_).signature);
+            program_.signature(helper_));
   // Framework frame present in dex: resolved through the table.
   const rt::StackFrameSnapshot dexFrame{"com.unity3d.ads.android.cache.b.a", -1};
   EXPECT_EQ(translateFrame(dexFrame, program_, table, apk_),
-            program_.method(helper_).signature);
+            program_.signature(helper_));
   // Pure framework frame: kept as the frame name.
   const rt::StackFrameSnapshot framework{"java.net.Socket.connect", -1};
   EXPECT_EQ(translateFrame(framework, program_, table, apk_),

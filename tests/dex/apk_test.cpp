@@ -17,12 +17,10 @@ ApkFile sampleApk() {
   apk.vtScanDate = 1560000000;
   apk.abis = {"x86", "armeabi-v7a"};
   DexFile dex;
-  ClassDef cls;
-  cls.dottedName = "com.example.game.Main";
-  cls.methods = {{"Lcom/example/game/Main;->onCreate(Landroid/os/Bundle;)V"},
-                 {"Lcom/example/game/Main;->onClick(Landroid/view/View;)V"}};
-  dex.classes.push_back(cls);
-  apk.dexFiles.push_back(dex);
+  dex.addClass("com.example.game.Main",
+               {"Lcom/example/game/Main;->onCreate(Landroid/os/Bundle;)V",
+                "Lcom/example/game/Main;->onClick(Landroid/view/View;)V"});
+  apk.dexFiles.push_back(std::move(dex));
   return apk;
 }
 
@@ -44,8 +42,7 @@ TEST(ApkTest, Sha256ChangesWithContent) {
   b.versionCode = 43;
   EXPECT_NE(util::toHex(a.sha256()), util::toHex(b.sha256()));
   ApkFile c = sampleApk();
-  c.dexFiles[0].classes[0].methods.push_back(
-      {"Lcom/example/game/Main;->extra()V"});
+  c.dexFiles[0].addMethod("Lcom/example/game/Main;->extra()V");
   EXPECT_NE(util::toHex(a.sha256()), util::toHex(c.sha256()));
 }
 
@@ -54,6 +51,31 @@ TEST(ApkTest, MethodCounting) {
   EXPECT_EQ(apk.totalMethodCount(), 2u);
   EXPECT_EQ(apk.dexFiles[0].methodCount(), 2u);
   EXPECT_EQ(ApkFile{}.totalMethodCount(), 0u);
+}
+
+TEST(ApkTest, EqualityComparesClassBoundariesAndContent) {
+  DexFile a;
+  a.addClass("a", {"La;->m()V", "La;->n()V"});
+  a.addClass("b");
+  DexFile b;
+  b.addClass("a", {"La;->m()V"});
+  b.addClass("b", {"La;->n()V"});
+  EXPECT_NE(a, b);  // same names and signatures, grouped differently
+  DexFile c;
+  c.reserve(2, 2, 64);
+  c.addClass("a");
+  c.addMethod("La;->m()V");
+  c.addMethod("La;->n()V");
+  c.addClass("b");
+  EXPECT_EQ(a, c);  // same content, other capacity
+  EXPECT_EQ(a.classMethods(0).size(), 2u);
+  EXPECT_EQ(a.classMethods(1).size(), 0u);
+  EXPECT_EQ(a.signature(1), "La;->n()V");
+}
+
+TEST(ApkTest, AddMethodNeedsAClass) {
+  DexFile dex;
+  EXPECT_THROW(dex.addMethod("La;->m()V"), std::logic_error);
 }
 
 TEST(ApkTest, X86Compatibility) {

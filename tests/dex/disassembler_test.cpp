@@ -11,23 +11,18 @@ ApkFile apkWithOverloads() {
   ApkFile apk;
   apk.packageName = "com.example";
   DexFile dex;
-  ClassDef bar;
-  bar.dottedName = "com.example.Bar";
-  bar.methods = {{"Lcom/example/Bar;->m(I)V"},
-                 {"Lcom/example/Bar;->m(J)V"},
-                 {"Lcom/example/Bar;->other()V"},
-                 {"not a signature"}};
-  dex.classes.push_back(bar);
-  ClassDef second;
-  second.dottedName = "com.example.net.Client";
-  second.methods = {{"Lcom/example/net/Client;->connect()Z"}};
-  dex.classes.push_back(second);
-  apk.dexFiles.push_back(dex);
+  dex.addClass("com.example.Bar",
+               {"Lcom/example/Bar;->m(I)V", "Lcom/example/Bar;->m(J)V",
+                "Lcom/example/Bar;->other()V", "not a signature"});
+  dex.addClass("com.example.net.Client",
+               {"Lcom/example/net/Client;->connect()Z"});
+  apk.dexFiles.push_back(std::move(dex));
   return apk;
 }
 
 TEST(DisassemblerTest, AllMethodSignaturesInDexOrder) {
-  const auto signatures = allMethodSignatures(apkWithOverloads());
+  const ApkFile apk = apkWithOverloads();
+  const auto signatures = allMethodSignatures(apk);
   ASSERT_EQ(signatures.size(), 5u);
   EXPECT_EQ(signatures[0], "Lcom/example/Bar;->m(I)V");
   EXPECT_EQ(signatures[4], "Lcom/example/net/Client;->connect()Z");
@@ -88,13 +83,13 @@ TEST(DisassemblerTest, OverloadsAcrossDexFilesKeepDexOrder) {
   // spread over the first and last, and empty classes in between.
   ApkFile apk;
   DexFile first;
-  first.classes.push_back({"a.B", {{"La/B;->m()V"}, {"La/B;->n()V"}}});
-  first.classes.push_back({"a.Empty", {}});
-  first.classes.push_back({"a.C", {{"La/C;->m()V"}}});
-  first.classes.push_back({"a.Empty2", {}});
+  first.addClass("a.B", {"La/B;->m()V", "La/B;->n()V"});
+  first.addClass("a.Empty");
+  first.addClass("a.C", {"La/C;->m()V"});
+  first.addClass("a.Empty2");
   DexFile last;
-  last.classes.push_back({"a.D", {{"La/D;->m()V"}}});
-  last.classes.push_back({"a.B", {{"La/B;->m(I)V"}}});
+  last.addClass("a.D", {"La/D;->m()V"});
+  last.addClass("a.B", {"La/B;->m(I)V"});
   apk.dexFiles = {first, DexFile{}, last};
   const FrameTranslationTable table(apk);
   const auto overloads = table.lookup("a.B.m", apk);

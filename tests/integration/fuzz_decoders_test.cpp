@@ -27,11 +27,8 @@ std::vector<std::uint8_t> sampleApkBytes() {
   apk.packageName = "com.fuzz.app";
   apk.appCategory = "TOOLS";
   dex::DexFile dexFile;
-  dex::ClassDef cls;
-  cls.dottedName = "com.fuzz.app.Main";
-  cls.methods = {{"Lcom/fuzz/app/Main;->m()V"}};
-  dexFile.classes.push_back(cls);
-  apk.dexFiles.push_back(dexFile);
+  dexFile.addClass("com.fuzz.app.Main", {"Lcom/fuzz/app/Main;->m()V"});
+  apk.dexFiles.push_back(std::move(dexFile));
   return apk.serialize();
 }
 

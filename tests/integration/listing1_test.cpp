@@ -41,12 +41,10 @@ class Listing1Test : public ::testing::Test {
     program_.uiHandlers.push_back(handler);
 
     dex::DexFile dexFile;
-    dex::ClassDef cls;
-    cls.dottedName = "all";
-    for (const auto& method : program_.methods)
-      cls.methods.push_back({method.signature});
-    dexFile.classes.push_back(cls);
-    apk_.dexFiles.push_back(dexFile);
+    dexFile.addClass("all");
+    for (rt::MethodId id = 0; id < program_.methodCount(); ++id)
+      dexFile.addMethod(program_.signature(id));
+    apk_.dexFiles.push_back(std::move(dexFile));
   }
 
   net::ServerFarm farm_;

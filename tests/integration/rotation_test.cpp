@@ -49,11 +49,10 @@ class RotationTest : public ::testing::Test {
     program_.uiHandlers = {handler, otherHandler};
 
     dex::DexFile dexFile;
-    dex::ClassDef cls;
-    cls.dottedName = "x";
-    for (const auto& method : program_.methods)
-      cls.methods.push_back({method.signature});
-    apk_.dexFiles.push_back({{cls}});
+    dexFile.addClass("x");
+    for (rt::MethodId id = 0; id < program_.methodCount(); ++id)
+      dexFile.addMethod(program_.signature(id));
+    apk_.dexFiles.push_back(std::move(dexFile));
   }
 
   net::ServerFarm farm_;

@@ -29,11 +29,8 @@ class DispatcherTest : public ::testing::Test {
         job.program.addMethod("Lcom/app/H;->onClick()V", {request});
     job.program.uiHandlers.push_back(handler);
     dex::DexFile dexFile;
-    dex::ClassDef cls;
-    cls.dottedName = "com.app.H";
-    cls.methods.push_back({job.program.methods[0].signature});
-    dexFile.classes.push_back(cls);
-    job.apk.dexFiles.push_back(dexFile);
+    dexFile.addClass("com.app.H", {job.program.signature(handler)});
+    job.apk.dexFiles.push_back(std::move(dexFile));
     return job;
   }
 

@@ -33,18 +33,11 @@ class EmulatorTest : public ::testing::Test {
 
     // Dex mirror of the program methods plus cold code.
     dex::DexFile dexFile;
-    for (const auto& method : program_.methods) {
-      dex::ClassDef cls;
-      cls.dottedName = "x";
-      cls.methods.push_back({method.signature});
-      dexFile.classes.push_back(std::move(cls));
-    }
-    dex::ClassDef cold;
-    cold.dottedName = "com.example.app.Cold";
+    for (rt::MethodId id = 0; id < program_.methodCount(); ++id)
+      dexFile.addClass("x", {program_.signature(id)});
+    dexFile.addClass("com.example.app.Cold");
     for (int i = 0; i < 16; ++i)
-      cold.methods.push_back(
-          {"Lcom/example/app/Cold;->m" + std::to_string(i) + "()V"});
-    dexFile.classes.push_back(cold);
+      dexFile.addMethod("Lcom/example/app/Cold;->m" + std::to_string(i) + "()V");
     apk_.dexFiles.push_back(std::move(dexFile));
   }
 

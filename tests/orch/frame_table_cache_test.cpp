@@ -64,8 +64,7 @@ store::AppStoreGenerator::Job bundledJob(
       std::replace(slashed.begin(), slashed.end(), '.', '/');
       const std::string signature =
           "L" + slashed + ";->" + std::string(frame.substr(dot + 1)) + "()V";
-      wrappers.classes.push_back(
-          {std::string(frame.substr(0, dot)), {{signature}}});
+      wrappers.addClass(frame.substr(0, dot), {signature});
       bundled.push_back(signature);
     }
   }

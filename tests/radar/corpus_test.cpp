@@ -121,14 +121,10 @@ TEST(CorpusTest, DetectFindsBundledLibraries) {
   const auto corpus = listing2Corpus();
   dex::ApkFile apk;
   dex::DexFile dexFile;
-  dex::ClassDef adsClass;
-  adsClass.dottedName = "com.unity3d.ads.android.cache.b";
-  adsClass.methods = {{"Lcom/unity3d/ads/android/cache/b;->a()V"}};
-  dex::ClassDef appClass;
-  appClass.dottedName = "com.myapp.Main";
-  appClass.methods = {{"Lcom/myapp/Main;->onCreate()V"}};
-  dexFile.classes = {adsClass, appClass};
-  apk.dexFiles.push_back(dexFile);
+  dexFile.addClass("com.unity3d.ads.android.cache.b",
+                   {"Lcom/unity3d/ads/android/cache/b;->a()V"});
+  dexFile.addClass("com.myapp.Main", {"Lcom/myapp/Main;->onCreate()V"});
+  apk.dexFiles.push_back(std::move(dexFile));
 
   const auto detected = corpus.detect(apk);
   ASSERT_EQ(detected.size(), 1u);
@@ -193,11 +189,9 @@ TEST(CorpusTest, DetectMatchesPerClassPredictions) {
         std::string("com.unity3d.services.core.a"),
         std::string("com.unity3dx.fake.Widget"),
         std::string("com.myapp.Main")}) {
-    dex::ClassDef classDef;
-    classDef.dottedName = name;
-    dexFile.classes.push_back(classDef);
+    dexFile.addClass(name);
   }
-  apk.dexFiles.push_back(dexFile);
+  apk.dexFiles.push_back(std::move(dexFile));
 
   const auto detected = corpus.detect(apk);
   ASSERT_EQ(detected.size(), 2u);

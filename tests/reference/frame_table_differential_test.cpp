@@ -58,8 +58,8 @@ std::vector<std::string> nearMisses(const std::string& frameName) {
 }
 
 /// `signature` with an extra int parameter: another overload of its frame.
-std::string overloadOf(const std::string& signature) {
-  std::string out = signature;
+std::string overloadOf(std::string_view signature) {
+  std::string out(signature);
   out.insert(out.find('(') + 1, "I");
   return out;
 }
@@ -73,18 +73,23 @@ dex::ApkFile withOverloads(dex::ApkFile apk) {
   std::size_t method = 0;
   std::size_t classIndex = 0;
   for (auto& dexFile : apk.dexFiles) {
-    for (auto& cls : dexFile.classes) {
-      if (cls.methods.empty()) continue;
-      for (const auto& m : cls.methods)
+    dex::DexFile rebuilt;
+    for (std::size_t c = 0; c < dexFile.classCount(); ++c) {
+      const dex::MethodRange methods = dexFile.classMethods(c);
+      rebuilt.addClass(dexFile.className(c));
+      if (methods.size() == 0) continue;
+      for (std::size_t m = methods.begin; m < methods.end; ++m)
         if (method++ % 7 == 0)
-          extra.classes.push_back(
-              {cls.dottedName, {{overloadOf(m.signature)}}});
+          extra.addClass(dexFile.className(c),
+                         {overloadOf(dexFile.signature(m))});
       if (classIndex++ % 3 == 0)
-        cls.methods.insert(cls.methods.begin(),
-                           {overloadOf(cls.methods.back().signature)});
+        rebuilt.addMethod(overloadOf(dexFile.signature(methods.end - 1)));
+      for (std::size_t m = methods.begin; m < methods.end; ++m)
+        rebuilt.addMethod(dexFile.signature(m));
     }
+    dexFile = std::move(rebuilt);
   }
-  extra.classes.push_back({"broken", {{"Lbroken;->m("}}});
+  extra.addClass("broken", {"Lbroken;->m("});
   apk.dexFiles.push_back(std::move(extra));
   return apk;
 }
@@ -128,16 +133,14 @@ TEST_P(FrameTableDifferentialTest, IndexMatchesTheSeedTableOnEveryName) {
           << "app " << i << " frame '" << frameName << "'";
     };
     for (const auto& dexFile : apk.dexFiles) {
-      for (const auto& cls : dexFile.classes) {
-        for (const auto& method : cls.methods) {
-          const auto signature = dex::TypeSignature::parse(method.signature);
-          if (!signature) continue;
-          const std::string frameName = signature->frameName();
-          check(frameName);
-          if (expected.lookup(frameName).size() > 1) ++overloaded;
-          for (const auto& miss : nearMisses(frameName)) check(miss);
-          ++names;
-        }
+      for (std::size_t m = 0; m < dexFile.methodCount(); ++m) {
+        const auto signature = dex::TypeSignature::parse(dexFile.signature(m));
+        if (!signature) continue;
+        const std::string frameName = signature->frameName();
+        check(frameName);
+        if (expected.lookup(frameName).size() > 1) ++overloaded;
+        for (const auto& miss : nearMisses(frameName)) check(miss);
+        ++names;
       }
     }
     for (const auto& frameName : framework) check(frameName);
@@ -165,12 +168,10 @@ TEST(FrameTableCollisionTest, CollidingNamesReturnOnlyTheirOwnSignatures) {
   // entries behind the shared hash.
   dex::ApkFile apk;
   dex::DexFile dexFile;
-  dexFile.classes.push_back(
-      {"com.example.C1032640", {{"Lcom/example/C1032640;->m(J)V"}}});
-  dexFile.classes.push_back({"com.example.C983095",
-                             {{"Lcom/example/C983095;->m()V"},
-                              {"Lcom/example/C983095;->m(I)V"}}});
-  apk.dexFiles.push_back(dexFile);
+  dexFile.addClass("com.example.C1032640", {"Lcom/example/C1032640;->m(J)V"});
+  dexFile.addClass("com.example.C983095", {"Lcom/example/C983095;->m()V",
+                                           "Lcom/example/C983095;->m(I)V"});
+  apk.dexFiles.push_back(std::move(dexFile));
 
   const dex::FrameTranslationTable table(apk);
   const SeedFrameTable expected(apk);

@@ -6,12 +6,11 @@ namespace libspector::reference {
 
 SeedFrameTable::SeedFrameTable(const dex::ApkFile& apk) {
   for (const auto& dex : apk.dexFiles) {
-    for (const auto& cls : dex.classes) {
-      for (const auto& m : cls.methods) {
-        auto sig = dex::TypeSignature::parse(m.signature);
-        if (!sig) continue;  // tolerate malformed entries like real dex tools
-        table_[sig->frameName()].push_back(m.signature);
-      }
+    for (std::size_t m = 0; m < dex.methodCount(); ++m) {
+      const std::string_view signature = dex.signature(m);
+      auto sig = dex::TypeSignature::parse(signature);
+      if (!sig) continue;  // tolerate malformed entries like real dex tools
+      table_[sig->frameName()].emplace_back(signature);
     }
   }
 }

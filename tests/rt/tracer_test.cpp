@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace libspector::rt {
 namespace {
 
@@ -49,12 +52,26 @@ TEST(UniqueMethodTracerTest, DeduplicatesAndKeepsFirstSeenOrder) {
   EXPECT_EQ(tracer.droppedCount(), 0u);
 }
 
+TEST(UniqueMethodTracerTest, TakeTraceFileEmptiesTheTracer) {
+  UniqueMethodTracer tracer;
+  tracer.onMethodEntry("a");
+  tracer.onMethodEntry("b");
+  tracer.onMethodEntry("a");
+  EXPECT_EQ(tracer.takeTraceFile(), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(tracer.uniqueCount(), 0u);
+  tracer.onMethodEntry("b");  // recorded afresh
+  EXPECT_EQ(tracer.traceFile(), (std::vector<std::string>{"b"}));
+}
+
 TEST(UniqueMethodTracerTest, NeverDropsUnderLoad) {
   UniqueMethodTracer tracer;
   for (int i = 0; i < 100000; ++i)
     tracer.onMethodEntry("method" + std::to_string(i % 500));
   EXPECT_EQ(tracer.uniqueCount(), 500u);
   EXPECT_EQ(tracer.totalEntries(), 100000u);
+  const auto trace = tracer.traceFile();  // first-seen order across growth
+  for (std::size_t i = 0; i < trace.size(); ++i)
+    ASSERT_EQ(trace[i], "method" + std::to_string(i));
   EXPECT_EQ(tracer.droppedCount(), 0u);
 }
 

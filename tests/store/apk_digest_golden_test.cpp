@@ -59,8 +59,9 @@ std::uint64_t worldDigest(const StoreConfig& config) {
     EXPECT_EQ(sha, util::Sha256::hash(std::span(bytes.data(), bytes.size())))
         << "app " << i;
     fnv.add(util::toHex(sha));
-    fnv.add(std::to_string(job.program.methods.size()));
-    for (const auto& method : job.program.methods) fnv.add(method.frameName);
+    fnv.add(std::to_string(job.program.methodCount()));
+    for (rt::MethodId id = 0; id < job.program.methodCount(); ++id)
+      fnv.add(job.program.frameName(id));
   }
   return fnv.value;
 }

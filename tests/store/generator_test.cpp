@@ -37,7 +37,7 @@ TEST(GeneratorTest, MakeJobIsIdempotent) {
   const auto first = generator.makeJob(3);
   const auto second = generator.makeJob(3);
   EXPECT_EQ(first.apk, second.apk);
-  EXPECT_EQ(first.program.methods.size(), second.program.methods.size());
+  EXPECT_EQ(first.program.methodCount(), second.program.methodCount());
 }
 
 TEST(GeneratorTest, DifferentSeedsDifferentWorlds) {
@@ -53,8 +53,9 @@ TEST(GeneratorTest, ProgramMethodsAreInDex) {
   const auto dexSignatures = dex::allMethodSignatures(job.apk);
   const std::unordered_set<std::string_view> dexSet(dexSignatures.begin(),
                                                     dexSignatures.end());
-  for (const auto& method : job.program.methods)
-    EXPECT_TRUE(dexSet.contains(method.signature)) << method.signature;
+  for (rt::MethodId id = 0; id < job.program.methodCount(); ++id)
+    EXPECT_TRUE(dexSet.contains(job.program.signature(id)))
+        << job.program.signature(id);
 }
 
 TEST(GeneratorTest, PlannedDomainsResolveInFarm) {
@@ -177,7 +178,7 @@ TEST(GeneratorTest, UiHandlersExistAndAreValid) {
   EXPECT_FALSE(job.program.uiHandlers.empty());
   ASSERT_TRUE(job.program.onCreate.has_value());
   for (const auto handler : job.program.uiHandlers)
-    EXPECT_LT(handler, job.program.methods.size());
+    EXPECT_LT(handler, job.program.methodCount());
 }
 
 TEST(GeneratorTest, AntOnlyAppsUseOnlyAntListedTaskPackages) {

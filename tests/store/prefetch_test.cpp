@@ -20,12 +20,6 @@ StoreConfig smallConfig(std::size_t apps = 24, std::uint64_t seed = 7) {
   return config;
 }
 
-std::vector<std::size_t> allIndices(std::size_t count) {
-  std::vector<std::size_t> indices(count);
-  for (std::size_t i = 0; i < count; ++i) indices[i] = i;
-  return indices;
-}
-
 TEST(PrefetchTest, DeliversEveryIndexExactlyOnceInOrder) {
   const AppStoreGenerator generator(smallConfig());
   PrefetchConfig config;
